@@ -43,7 +43,9 @@ struct Cell {
 }
 
 /// Runs `total` flush commits split across `threads` threads, returning
-/// the cell. `grouped` toggles `Tuning::group_commit`.
+/// the cell. Both modes run the commit path at pipeline depth 1;
+/// `serialized` caps every batch at one transaction, so each flush
+/// commit pays its own force.
 fn run_cell(threads: u64, total: u64, grouped: bool) -> Cell {
     let clock = Clock::new();
     let log = Arc::new(SimDisk::new(
@@ -64,7 +66,11 @@ fn run_cell(threads: u64, total: u64, grouped: bool) -> Cell {
         Ok(data_for_resolver.clone())
     });
     let tuning = Tuning {
-        group_commit: grouped,
+        group_commit_max_txns: if grouped {
+            Tuning::default().group_commit_max_txns
+        } else {
+            1
+        },
         // A short accumulation window (wall-clock; the virtual disk is
         // not charged) so concurrent committers reliably share a batch.
         group_commit_wait_us: if grouped { 300 } else { 0 },

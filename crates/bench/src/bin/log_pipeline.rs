@@ -1,14 +1,14 @@
-//! Pipelined log writer: flush-commit throughput with double-buffered
-//! asynchronous submission versus plain group commit, over the virtual
-//! disk clock.
+//! Pipelined log writer: flush-commit throughput at pipeline depth 2
+//! (asynchronous submission) versus depth 1 (plain group commit), over
+//! the virtual disk clock.
 //!
 //! Each cell boots a fresh RVM over a `circa_1990` simulated log disk
 //! and splits a fixed transaction budget across N committer threads on
 //! disjoint pages. Both modes share one force per batch; the difference
-//! is *when* the force runs. Plain group commit fills, forces, and waits
-//! before the next batch may fill. The pipeline submits buffer A's force
-//! and fills buffer B while it spins, so record serialization rides for
-//! free inside the force window and queued forces earn the controller's
+//! is *when* the force runs. At depth 1 a leader fills, forces, and waits
+//! before the next batch may fill. At depth 2 it submits batch A's force
+//! and the next leader fills batch B while it spins, so record
+//! serialization rides for free inside the force window and queued forces earn the controller's
 //! tagged-command discount. The per-cell disk stats expose the
 //! mechanism: `overlapped_syncs` counts forces submitted while the
 //! mechanism was still busy (always zero for the serial loop), and the
@@ -54,8 +54,8 @@ struct Cell {
 }
 
 /// Runs `total` flush commits split across `threads` threads, returning
-/// the cell. `pipelined` toggles `Tuning::log_pipeline`; group commit
-/// itself is on in both modes.
+/// the cell. `pipelined` sets `Tuning::log_pipeline_depth` to 2 instead
+/// of 1; group commit itself is on in both modes.
 fn run_cell(threads: u64, total: u64, pipelined: bool) -> Cell {
     let clock = Clock::new();
     let log = Arc::new(SimDisk::new(
@@ -76,7 +76,7 @@ fn run_cell(threads: u64, total: u64, pipelined: bool) -> Cell {
         Ok(data_for_resolver.clone())
     });
     let tuning = Tuning {
-        log_pipeline: pipelined,
+        log_pipeline_depth: if pipelined { 2 } else { 1 },
         group_commit_max_txns: BATCH_CAP,
         // A short accumulation window (wall-clock; the virtual disk is
         // not charged) so concurrent committers reliably share a batch.

@@ -555,14 +555,14 @@ pub struct RvmQuery {
     /// Regions quarantined into read-only degraded mode
     /// ([`RvmReturn::RvmEMedia`]).
     pub regions_quarantined: u64,
-    /// Group-commit batches submitted through the pipelined log writer
-    /// (writes and force in flight while the next batch filled).
+    /// Commit batches submitted asynchronously at pipeline depth 2 or
+    /// more (writes and force in flight while the next batch filled).
     pub pipeline_submits: u64,
     /// High-water mark of forces simultaneously in flight (≥ 2 means the
     /// pipeline actually overlapped device work).
     pub forces_in_flight_hw: u64,
-    /// Nanoseconds pipelined leaders stalled waiting for a staging
-    /// buffer (i.e. for an in-flight force to complete).
+    /// Nanoseconds commit leaders stalled waiting for in-flight depth
+    /// (i.e. for an in-flight force to complete).
     pub pipeline_stall_ns: u64,
 }
 
@@ -925,7 +925,7 @@ mod tests {
                 .resolver(MemResolver::new().into_resolver())
                 .create_if_empty()
                 .tuning(Tuning {
-                    log_pipeline: true,
+                    log_pipeline_depth: 2,
                     ..Tuning::default()
                 }),
         )

@@ -71,9 +71,10 @@
 //!   failure lands mid-commit, keeping in-memory cursors and the durable
 //!   image consistent.
 //! * Group commit: concurrent flush-mode commits share a single log
-//!   force through a leader/follower commit queue
-//!   ([`Tuning::group_commit`], on by default), with per-batch statistics
-//!   surfaced via `query`.
+//!   force through a leader/follower commit queue (up to
+//!   [`Tuning::group_commit_max_txns`] per force), optionally pipelined
+//!   ([`Tuning::log_pipeline_depth`]), with per-batch statistics surfaced
+//!   via `query`.
 //!
 //! Layered packages live in sibling crates, as the paper suggests (§8):
 //! `rvm-alloc` (recoverable heap), `rvm-loader` (segment loader),
@@ -112,9 +113,9 @@
 //!   `check` *before* anything that takes `core` (`query` historically
 //!   held `check` across its `core` acquisition while commit paths took
 //!   them in the opposite order — a lock-order inversion, fixed).
-//! * The group-commit queue locks (`group::CommitQueue`) are taken only
-//!   while `core` is *not* held; the leader acquires `core` after
-//!   claiming the batch.
+//! * The commit queue lock (`commit::CommitQueue`) is taken only while
+//!   `core` is *not* held; the leader acquires `core` after claiming the
+//!   batch.
 //! * The commit fast paths are plane-local: a disjoint-region no-flush
 //!   commit touches only its spool shard plus per-region state, and
 //!   `query` / read-only `begin_transaction` acquire no shared lock at
@@ -125,15 +126,14 @@
 //! second lock.
 
 mod check;
+mod commit;
 pub mod crc;
 mod cursor;
 mod error;
-mod group;
 pub mod log;
 #[cfg(any(loom, test))]
 pub mod models;
 mod options;
-mod pipeline;
 pub mod query;
 pub mod ranges;
 pub mod recovery;

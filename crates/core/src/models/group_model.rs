@@ -1,13 +1,16 @@
-//! Interleaving models of the group-commit protocol.
+//! Interleaving models of the group-commit protocol (`crate::commit`).
 //!
 //! Two models, two halves of the protocol:
 //!
-//! * [`GroupModel`] — the leader's *batch* half: WAL checkpoint, append
-//!   loop that may release the core lock inside `append_with_space`
-//!   (waiting out an epoch truncation), single force, and the
-//!   `wait_generation`-guarded rollback on force failure. The property at
-//!   stake is that a rollback never destroys records appended by another
-//!   thread while the leader's lock was released.
+//! * [`GroupModel`] — the *batch* half: WAL checkpoint, appends, a
+//!   window in which the core lock is released, single force, and the
+//!   `wait_generation`-guarded rollback on force failure. In the real
+//!   commit path the fill restarts from a fresh checkpoint whenever the
+//!   lock is released, so the guarded rollback lives in the batch
+//!   settle (`RvmShared::settle_locked`): a batch reaped after its
+//!   leader released `core` is exactly this model's released-lock
+//!   window. The property at stake is that a rollback never destroys
+//!   records appended by another thread while the lock was released.
 //! * [`BatonModel`] — the committer's *queue* half: enqueue, wait on the
 //!   group condvar or take the leadership baton, leader publishes every
 //!   queued outcome and hands off. The property at stake is that every

@@ -100,8 +100,8 @@ fn crashck(args: &[String]) -> ! {
 
 fn crashck_gen(args: &[String]) -> ! {
     let workload = match args[1].as_str() {
-        "group" => Workload::GroupCommit,
-        "pipeline" => Workload::Pipeline,
+        "group" => Workload::FlushBatches(1),
+        "pipeline" => Workload::FlushBatches(2),
         "truncate" => Workload::Truncation,
         "spool" => Workload::NoFlushSpool,
         "abort" => Workload::AbortMix,

@@ -30,7 +30,7 @@ fn checked(label: &str, workload: Workload) -> Report {
 fn group_commit_state_space_is_exhaustive_and_clean() {
     let mut last = None;
     for _ in 0..4 {
-        let report = checked("group commit", Workload::GroupCommit);
+        let report = checked("group commit", Workload::FlushBatches(1));
         if report.exhaustive && report.images_unique > 1000 {
             return;
         }
@@ -44,9 +44,9 @@ fn group_commit_state_space_is_exhaustive_and_clean() {
     );
 }
 
-/// Pipelined log writer: buffer B's records are submitted while buffer
-/// A's force is in flight, so the enumerated crash images include every
-/// state between A's completion and B's submission. Recovery must stop
+/// Pipelined log writer (depth 2): batch B's records may be submitted
+/// while batch A's force is in flight, so the enumerated crash images
+/// include every state between A's completion and B's submission. Recovery must stop
 /// at the committed prefix in all of them. Like group formation, batch
 /// overlap depends on thread timing, so a run whose state space stayed
 /// small is retried — but a violation on any attempt fails immediately.
@@ -63,7 +63,7 @@ fn pipelined_commits_survive_every_crash_image() {
     };
     let mut last = None;
     for _ in 0..4 {
-        let trace = run_workload(Workload::Pipeline, MutationHooks::default());
+        let trace = run_workload(Workload::FlushBatches(2), MutationHooks::default());
         let report = check_trace(&trace, &cfg);
         assert!(report.is_clean(), "pipeline:\n{}", report.render());
         if report.exhaustive && report.images_unique > 1000 {
@@ -98,28 +98,30 @@ fn aborted_transactions_never_surface_in_any_crash_image() {
     assert!(report.exhaustive, "{}", report.render());
 }
 
-/// The checker must have teeth: skipping the group-commit log force
-/// (a seeded mutation in the real commit path) acknowledges
-/// transactions whose records were never forced, and some crash image
-/// must expose that as a durability violation.
+/// The checker must have teeth: skipping the batch's log force (a
+/// seeded mutation in the real commit path) acknowledges transactions
+/// whose records were never forced, and some crash image must expose
+/// that as a durability violation — at pipeline depth 1 and at depth 2.
 #[test]
 fn model_checker_catches_a_skipped_group_force() {
     let hooks = MutationHooks {
         skip_group_force: true,
         ..MutationHooks::default()
     };
-    let trace = run_workload(Workload::GroupCommit, hooks);
-    let report = check_trace(&trace, &EnumConfig::default());
-    assert!(
-        !report.is_clean(),
-        "skip_group_force mutation went undetected:\n{}",
-        report.render()
-    );
-    let detail = &report.violations[0].detail;
-    assert!(
-        detail.contains("acknowledged") && detail.contains("lost"),
-        "unexpected violation shape: {detail}"
-    );
+    for depth in [1, 2] {
+        let trace = run_workload(Workload::FlushBatches(depth), hooks);
+        let report = check_trace(&trace, &EnumConfig::default());
+        assert!(
+            !report.is_clean(),
+            "skip_group_force mutation went undetected at depth {depth}:\n{}",
+            report.render()
+        );
+        let detail = &report.violations[0].detail;
+        assert!(
+            detail.contains("acknowledged") && detail.contains("lost"),
+            "unexpected violation shape at depth {depth}: {detail}"
+        );
+    }
 }
 
 /// Media-failure satellite: the bit-rot workload never truncates, so
