@@ -265,11 +265,19 @@ pub fn parse_trailer(buf: &[u8]) -> Option<TrailerInfo> {
 /// for a valid pad record.
 pub fn parse_record(buf: &[u8]) -> Option<(HeaderInfo, Option<TxnRecord>)> {
     let header = parse_header(buf)?;
+    Some((header, parse_record_body(&header, buf)?))
+}
+
+/// The rest of [`parse_record`] for a caller that already parsed `header`
+/// from the first bytes of `buf` (the forward scan, which needs the
+/// header's length before it can slice out the record). Returns `None` if
+/// any check fails; `Some(None)` for a valid pad record.
+pub(crate) fn parse_record_body(header: &HeaderInfo, buf: &[u8]) -> Option<Option<TxnRecord>> {
     let padded = header.padded_len();
-    if buf.len() != padded as usize {
+    if buf.len() as u64 != padded {
         return None;
     }
-    let trailer = parse_trailer(&buf[buf.len() - TRAILER_SIZE as usize..])?;
+    let trailer = parse_trailer(buf.get(buf.len().checked_sub(TRAILER_SIZE as usize)?..)?)?;
     if trailer.padded_len != padded || trailer.seq != header.seq {
         return None;
     }
@@ -277,11 +285,12 @@ pub fn parse_record(buf: &[u8]) -> Option<(HeaderInfo, Option<TxnRecord>)> {
     if body_len + TRAILER_SIZE as usize > buf.len() {
         return None;
     }
-    if crc32(&buf[..body_len]) != trailer.record_crc {
+    let body = buf.get(..body_len)?;
+    if crc32(body) != trailer.record_crc {
         return None;
     }
     if header.kind == RecordKind::Pad {
-        return Some((header, None));
+        return Some(None);
     }
 
     // Decode the range table.
@@ -293,31 +302,26 @@ pub fn parse_record(buf: &[u8]) -> Option<(HeaderInfo, Option<TxnRecord>)> {
     let mut entry_at = HEADER_SIZE as usize;
     let mut data_at = (HEADER_SIZE + table_len) as usize;
     for _ in 0..header.num_ranges {
-        let seg = SegmentId::new(get_u32(buf, entry_at));
-        let offset = get_u64(buf, entry_at + 8);
-        let len = get_u64(buf, entry_at + 16) as usize;
-        if data_at + len > body_len {
-            return None;
-        }
+        let seg = SegmentId::new(get_u32(body, entry_at));
+        let offset = get_u64(body, entry_at + 8);
+        let len = get_u64(body, entry_at + 16) as usize;
+        let data_end = data_at.checked_add(len)?;
         ranges.push(RecordRange {
             seg,
             offset,
-            data: buf[data_at..data_at + len].to_vec(),
+            data: body.get(data_at..data_end)?.to_vec(),
         });
         entry_at += RANGE_ENTRY_SIZE as usize;
-        data_at += len;
+        data_at = data_end;
     }
     if data_at != body_len {
         return None;
     }
-    Some((
-        header,
-        Some(TxnRecord {
-            tid: header.tid,
-            seq: header.seq,
-            ranges,
-        }),
-    ))
+    Some(Some(TxnRecord {
+        tid: header.tid,
+        seq: header.seq,
+        ranges,
+    }))
 }
 
 #[cfg(test)]

@@ -401,12 +401,26 @@ pub struct ScanOutcome {
     pub pads: u64,
 }
 
+/// Most bytes one forward-scan device read covers. A record larger than
+/// this is still read whole, by a window grown to fit it.
+pub(crate) const SCAN_WINDOW: u64 = 256 * 1024;
+
 /// Scans the record area forward from `head`, stopping at the first
 /// invalid record, the first sequence gap, `stop_at`, or after one full
 /// lap.
 ///
+/// The scan reads the log a window at a time: one device read of up to
+/// [`SCAN_WINDOW`] bytes that never crosses the lap end, `stop_at`, or
+/// one lap past `head`, so a concurrent append beyond `stop_at` is never
+/// read. Records are parsed out of the window, each header once; a
+/// record the window does not hold whole starts a new window at that
+/// record, grown to the record's length if need be.
+///
 /// Device read errors abort the scan with an error; torn or stale records
-/// are *expected* and simply terminate it.
+/// are *expected* and simply terminate it. A failed window read falls
+/// back to reading just the record at that position (its header, then
+/// its padded length), so the scan fails only when bytes it must parse
+/// cannot be read, never because the window reached past the tail.
 pub fn scan_forward(
     dev: &dyn Device,
     area_len: u64,
@@ -418,6 +432,7 @@ pub fn scan_forward(
     let mut pads = 0u64;
     let mut pos = head;
     let mut expect = seq_at_head;
+    let mut window = ScanWindow::default();
 
     loop {
         if pos - head >= area_len {
@@ -430,10 +445,14 @@ pub fn scan_forward(
         }
         let lap_remaining = area_len - pos % area_len;
         debug_assert!(lap_remaining >= LOG_BLOCK);
+        let reach = lap_remaining
+            .min(area_len - (pos - head))
+            .min(stop_at.map_or(u64::MAX, |stop| stop - pos))
+            .min(SCAN_WINDOW);
+        let phys = LOG_AREA_START + pos % area_len;
 
-        let mut header_buf = [0u8; HEADER_SIZE as usize];
-        dev.read_at(LOG_AREA_START + pos % area_len, &mut header_buf)?;
-        let Some(header) = parse_header(&header_buf) else {
+        let header_bytes = window.bytes(dev, pos, phys, HEADER_SIZE, reach)?;
+        let Some(header) = parse_header(header_bytes) else {
             break;
         };
         if header.seq != expect {
@@ -443,9 +462,8 @@ pub fn scan_forward(
         if padded > lap_remaining || pos - head + padded > area_len {
             break;
         }
-        let mut buf = vec![0u8; padded as usize];
-        dev.read_at(LOG_AREA_START + pos % area_len, &mut buf)?;
-        let Some((_, decoded)) = parse_record(&buf) else {
+        let record_bytes = window.bytes(dev, pos, phys, padded, reach)?;
+        let Some(decoded) = record::parse_record_body(&header, record_bytes) else {
             break;
         };
         match decoded {
@@ -462,6 +480,44 @@ pub fn scan_forward(
         next_seq: expect,
         pads,
     })
+}
+
+/// The bytes [`scan_forward`] read ahead: `buf` holds the log from
+/// logical offset `at`.
+#[derive(Default)]
+struct ScanWindow {
+    at: u64,
+    buf: Vec<u8>,
+}
+
+impl ScanWindow {
+    /// The `need` bytes at logical `pos` (physical `phys`). Served from
+    /// the window when it holds them; otherwise one read of
+    /// `max(need, reach)` bytes starts a new window at `pos`, and if that
+    /// read fails, a read of exactly `need` bytes does (whose error is
+    /// the scan's).
+    fn bytes(
+        &mut self,
+        dev: &dyn Device,
+        pos: u64,
+        phys: u64,
+        need: u64,
+        reach: u64,
+    ) -> Result<&[u8]> {
+        let held = pos >= self.at && pos + need <= self.at + self.buf.len() as u64;
+        if !held {
+            self.at = pos;
+            self.buf.resize(need.max(reach) as usize, 0);
+            if dev.read_at(phys, &mut self.buf).is_err() {
+                self.buf.resize(need as usize, 0);
+                dev.read_at(phys, &mut self.buf)?;
+            }
+        }
+        let from = (pos - self.at) as usize;
+        self.buf
+            .get(from..from + need as usize)
+            .ok_or_else(|| RvmError::BadLog(format!("scan window misses offset {pos}")))
+    }
 }
 
 /// Scans the record area backward from `tail` (whose next sequence number
@@ -526,6 +582,98 @@ mod tests {
             offset,
             data: vec![byte; len],
         }
+    }
+
+    /// The per-record forward scan [`scan_forward`] replaced, kept as the
+    /// reference its windowed reads must agree with: a header read and a
+    /// record read per record.
+    fn scan_forward_per_record(
+        dev: &dyn Device,
+        area_len: u64,
+        head: u64,
+        seq_at_head: u64,
+        stop_at: Option<u64>,
+    ) -> Result<ScanOutcome> {
+        let mut records = Vec::new();
+        let mut pads = 0u64;
+        let mut pos = head;
+        let mut expect = seq_at_head;
+        loop {
+            if pos - head >= area_len || stop_at.is_some_and(|stop| pos >= stop) {
+                break;
+            }
+            let lap_remaining = area_len - pos % area_len;
+            let mut header_buf = [0u8; HEADER_SIZE as usize];
+            dev.read_at(LOG_AREA_START + pos % area_len, &mut header_buf)?;
+            let Some(header) = parse_header(&header_buf) else {
+                break;
+            };
+            if header.seq != expect {
+                break;
+            }
+            let padded = header.padded_len();
+            if padded > lap_remaining || pos - head + padded > area_len {
+                break;
+            }
+            let mut buf = vec![0u8; padded as usize];
+            dev.read_at(LOG_AREA_START + pos % area_len, &mut buf)?;
+            let Some((_, decoded)) = parse_record(&buf) else {
+                break;
+            };
+            match decoded {
+                Some(txn) => records.push((pos, txn)),
+                None => pads += 1,
+            }
+            pos += padded;
+            expect += 1;
+        }
+        Ok(ScanOutcome {
+            records,
+            tail: pos,
+            next_seq: expect,
+            pads,
+        })
+    }
+
+    /// A log device that fails every read reaching physical offset
+    /// `fail_from` or beyond.
+    struct ReadFaultPast {
+        inner: Arc<dyn Device>,
+        fail_from: u64,
+    }
+
+    impl Device for ReadFaultPast {
+        fn len(&self) -> rvm_storage::Result<u64> {
+            self.inner.len()
+        }
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> rvm_storage::Result<()> {
+            if offset + buf.len() as u64 > self.fail_from {
+                return Err(rvm_storage::DeviceError::Injected {
+                    op: rvm_storage::FaultOp::Read,
+                    transient: false,
+                });
+            }
+            self.inner.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, data: &[u8]) -> rvm_storage::Result<()> {
+            self.inner.write_at(offset, data)
+        }
+        fn sync(&self) -> rvm_storage::Result<()> {
+            self.inner.sync()
+        }
+        fn set_len(&self, len: u64) -> rvm_storage::Result<()> {
+            self.inner.set_len(len)
+        }
+    }
+
+    /// Scans `wal`'s live span both ways and asserts identical outcomes.
+    fn assert_scans_agree(wal: &Wal, stop_at: Option<u64>) -> ScanOutcome {
+        let args = (wal.capacity(), wal.head(), wal.seq_at_head(), stop_at);
+        let dev = wal.device().as_ref();
+        let windowed = scan_forward(dev, args.0, args.1, args.2, args.3).unwrap();
+        let reference = scan_forward_per_record(dev, args.0, args.1, args.2, args.3).unwrap();
+        assert_eq!(windowed, reference);
+        windowed
     }
 
     #[test]
@@ -886,5 +1034,120 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].1.tid, 3, "newest first");
         assert_eq!(records[1].1.tid, 2);
+    }
+
+    #[test]
+    fn windowed_scan_matches_per_record_scan_across_pad_and_wrap() {
+        let area = 8 * LOG_BLOCK;
+        let mut wal = mk_wal(area);
+        wal.append_txn(1, &[range(0, 0, 1, 1000)]).unwrap();
+        wal.append_txn(2, &[range(0, 0, 2, 1000)]).unwrap();
+        wal.advance_head(3 * LOG_BLOCK, 2);
+        wal.append_txn(3, &[range(0, 0, 3, 1000)]).unwrap(); // pads + wraps
+        let scan = assert_scans_agree(&wal, None);
+        assert_eq!((scan.records.len(), scan.pads), (2, 1));
+        assert_eq!(scan.tail, wal.tail());
+    }
+
+    #[test]
+    fn windowed_scan_matches_per_record_scan_at_a_torn_record_mid_window() {
+        let mut wal = mk_wal(1 << 16);
+        let mut torn = None;
+        for tid in 1..=12u64 {
+            let info = wal
+                .append_txn(tid, &[range(0, tid * 8, tid as u8, 300)])
+                .unwrap();
+            if tid == 6 {
+                torn = Some(info);
+            }
+        }
+        let torn = torn.unwrap();
+        wal.device()
+            .write_at(LOG_AREA_START + torn.offset + 200, &[0xEE; 8])
+            .unwrap();
+        let scan = assert_scans_agree(&wal, None);
+        assert_eq!(scan.records.len(), 5);
+        assert_eq!(scan.tail, torn.offset);
+    }
+
+    #[test]
+    fn windowed_scan_matches_per_record_scan_over_a_stale_lap() {
+        let mut wal = mk_wal(8 * LOG_BLOCK);
+        for tid in 1..=4u64 {
+            wal.append_txn(tid, &[range(0, 0, tid as u8, 800)]).unwrap();
+        }
+        wal.advance_head(wal.tail(), wal.next_seq());
+        wal.append_txn(9, &[range(0, 0, 9, 800)]).unwrap();
+        let scan = assert_scans_agree(&wal, None);
+        assert_eq!(scan.records.len(), 1);
+    }
+
+    #[test]
+    fn windowed_scan_matches_per_record_scan_with_stop_inside_a_window() {
+        let mut wal = mk_wal(1 << 16);
+        let mut split = 0;
+        for tid in 1..=10u64 {
+            wal.append_txn(tid, &[range(0, 0, tid as u8, 100)]).unwrap();
+            if tid == 4 {
+                split = wal.tail();
+            }
+        }
+        let scan = assert_scans_agree(&wal, Some(split));
+        assert_eq!(scan.records.len(), 4);
+        assert_eq!(scan.tail, split);
+    }
+
+    #[test]
+    fn windowed_scan_grows_the_window_for_a_record_larger_than_it() {
+        let big = (SCAN_WINDOW + 3 * LOG_BLOCK) as usize;
+        let mut wal = mk_wal(4 * SCAN_WINDOW);
+        wal.append_txn(1, &[range(0, 0, 1, 100)]).unwrap();
+        wal.append_txn(2, &[range(0, 0, 2, big)]).unwrap();
+        wal.append_txn(3, &[range(0, 0, 3, 100)]).unwrap();
+        let scan = assert_scans_agree(&wal, None);
+        assert_eq!(scan.records.len(), 3);
+        assert_eq!(scan.records[1].1.ranges[0].data.len(), big);
+        assert_eq!(scan.tail, wal.tail());
+    }
+
+    #[test]
+    fn a_sixteen_record_log_scans_in_one_read() {
+        let mut wal = mk_wal(1 << 16);
+        for tid in 1..=16u64 {
+            wal.append_txn(tid, &[range(0, tid * 8, tid as u8, 100)])
+                .unwrap();
+        }
+        // A fault-free flaky device is a counting device.
+        let counting = rvm_storage::FlakyDevice::new(Arc::clone(wal.device()), vec![]);
+        let scan = scan_forward(&counting, wal.capacity(), 0, 1, None).unwrap();
+        assert_eq!(scan.records.len(), 16);
+        assert_eq!(scan.tail, wal.tail());
+        let (reads, _, _) = counting.clock().ops_seen();
+        assert_eq!(reads, 1, "one window covers the whole log");
+    }
+
+    #[test]
+    fn a_read_fault_past_the_tail_does_not_fail_a_clean_scan() {
+        let mut wal = mk_wal(1 << 16);
+        for tid in 1..=5u64 {
+            wal.append_txn(tid, &[range(0, tid * 8, tid as u8, 100)])
+                .unwrap();
+        }
+        let faulty = |fail_from| ReadFaultPast {
+            inner: Arc::clone(wal.device()),
+            fail_from,
+        };
+        // Past the header read at the tail: bytes neither scan needs.
+        let dev = faulty(LOG_AREA_START + wal.tail() + HEADER_SIZE);
+        let windowed = scan_forward(&dev, wal.capacity(), 0, 1, None).unwrap();
+        let reference = scan_forward_per_record(&dev, wal.capacity(), 0, 1, None).unwrap();
+        assert_eq!(windowed, reference);
+        assert_eq!(windowed.records.len(), 5);
+        assert_eq!(windowed.tail, wal.tail());
+
+        // A fault inside a live record fails both.
+        let dev = faulty(LOG_AREA_START + wal.tail() - LOG_BLOCK);
+        assert!(scan_forward(&dev, wal.capacity(), 0, 1, None).is_err());
+        assert!(scan_forward_per_record(&dev, wal.capacity(), 0, 1, None).is_err());
     }
 }

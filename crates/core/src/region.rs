@@ -31,7 +31,7 @@ use rvm_storage::Device;
 
 use crate::error::{Result, RvmError};
 use crate::options::PAGE_SIZE;
-use crate::scrub::SegmentChecksums;
+use crate::scrub::{SegmentChecksums, PAGES_PER_READ};
 use crate::segment::SegmentId;
 use crate::stats::MediaCounters;
 use crate::truncation::page_vector::PageVector;
@@ -316,18 +316,31 @@ impl RegionInner {
     /// truncation having drained the segment's live log records) not
     /// reconstructible from the log, so the mirror is its only donor.
     pub(crate) fn fetch_page_verified(&self, page: usize, buf: &mut [u8]) -> Result<()> {
-        let page_off = page as u64 * PAGE_SIZE;
         let Some(catalog) = &self.catalog else {
-            self.seg_dev.read_at(self.seg_offset + page_off, buf)?;
+            self.seg_dev
+                .read_at(self.seg_offset + page as u64 * PAGE_SIZE, buf)?;
             return Ok(());
         };
-        // Region offsets are page-aligned, so region page i is segment
-        // page (seg_offset / PAGE_SIZE) + i exactly.
-        let seg_page = ((self.seg_offset + page_off) / PAGE_SIZE) as usize;
+        self.read_page_ladder(catalog, page, buf, false)
+    }
+
+    /// The repair ladder of [`RegionInner::fetch_page_verified`] for a
+    /// page under `catalog`. `suspect` says an earlier read of the page
+    /// (a batched load) already failed verification, so a page the ladder
+    /// then reads clean counts as detected and repaired, exactly as a
+    /// healed first read does.
+    fn read_page_ladder(
+        &self,
+        catalog: &SegmentChecksums,
+        page: usize,
+        buf: &mut [u8],
+        suspect: bool,
+    ) -> Result<()> {
+        let seg_page = self.seg_page(page);
         let (verified, healed) =
             crate::scrub::read_page_verified(self.seg_dev.as_ref(), catalog, seg_page, buf)?;
         self.media.pages_scrubbed.fetch_add(1, Ordering::Relaxed);
-        if healed {
+        if healed || (verified && suspect) {
             self.media
                 .corruptions_detected
                 .fetch_add(1, Ordering::Relaxed);
@@ -344,19 +357,48 @@ impl RegionInner {
         Ok(())
     }
 
+    /// The segment page holding region page `page`. Region offsets are
+    /// page-aligned, so region page i is segment page
+    /// (seg_offset / PAGE_SIZE) + i exactly.
+    fn seg_page(&self, page: usize) -> usize {
+        ((self.seg_offset + page as u64 * PAGE_SIZE) / PAGE_SIZE) as usize
+    }
+
     /// Copies the committed image in from the segment device (map time).
+    ///
+    /// With a catalog, the load reads [`PAGES_PER_READ`] pages per device
+    /// read and checks each page against its catalog entry; a page that
+    /// fails (or a batch whose read failed) goes through the repair
+    /// ladder of [`RegionInner::fetch_page_verified`] on its own.
     pub(crate) fn load_from_segment(&self) -> Result<()> {
-        if self.catalog.is_some() {
-            // Page-wise verified load; the bulk path below has no
-            // per-page checksum boundary to verify against.
+        if let Some(catalog) = &self.catalog {
             let pages = (self.len / PAGE_SIZE) as usize;
-            let mut buf = vec![0u8; PAGE_SIZE as usize];
-            for page in 0..pages {
-                self.fetch_page_verified(page, &mut buf)?;
-                let _guard = self.mem_lock.write();
-                // SAFETY: exclusive lock held; bounds derived from the
-                // region length.
-                unsafe { self.mem.copy_in(page * PAGE_SIZE as usize, &buf) }?;
+            let page_bytes = PAGE_SIZE as usize;
+            let mut buf = Vec::new();
+            let mut first = 0;
+            while first < pages {
+                let n = PAGES_PER_READ.min(pages - first);
+                buf.resize(n * page_bytes, 0);
+                let batch_read = self
+                    .seg_dev
+                    .read_at(self.seg_offset + (first * page_bytes) as u64, &mut buf)
+                    .is_ok();
+                for (page, page_buf) in (first..).zip(buf.chunks_exact_mut(page_bytes)) {
+                    if !batch_read {
+                        self.fetch_page_verified(page, page_buf)?;
+                    } else if catalog.verify(self.seg_page(page), page_buf) {
+                        self.media.pages_scrubbed.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        self.read_page_ladder(catalog, page, page_buf, true)?;
+                    }
+                }
+                {
+                    let _guard = self.mem_lock.write();
+                    // SAFETY: exclusive lock held; bounds derived from the
+                    // region length.
+                    unsafe { self.mem.copy_in(first * page_bytes, &buf) }?;
+                }
+                first += n;
             }
             *self.unloaded.lock() = None;
             return Ok(());

@@ -51,6 +51,7 @@
 //! re-adopted).
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -70,6 +71,14 @@ const ENTRY_SIZE: u64 = 4;
 /// corruption rather than a transient read error. A re-read costs little
 /// and distinguishes rot on the medium from rot on the wire.
 pub(crate) const MEDIA_READ_RETRIES: usize = 2;
+
+/// Pages one device read covers when a whole span of pages is read:
+/// catalog adoption and eager region loads.
+pub(crate) const PAGES_PER_READ: usize = 64;
+
+/// Largest segment write a tree apply issues by joining byte-adjacent
+/// tree entries into one run (see [`apply_tree_verified`]).
+pub(crate) const APPLY_RUN_MAX: usize = 64 * 1024;
 
 /// Returns the sidecar catalog name for a segment name.
 pub fn sidecar_name(segment: &str) -> String {
@@ -124,10 +133,7 @@ impl SegmentChecksums {
         let mut entries: Vec<u32> = Self::load(dev.as_ref())?.unwrap_or_default();
         let known = entries.len();
         if known < needed {
-            entries.resize(needed, 0);
-            for (page, entry) in entries.iter_mut().enumerate().skip(known) {
-                *entry = checksum_of(seg, seg_len, page)?;
-            }
+            entries.extend(checksums_of(seg, seg_len, known..needed)?);
         }
         let catalog = SegmentChecksums {
             dev,
@@ -193,10 +199,7 @@ impl SegmentChecksums {
         };
         // Checksum the new pages outside the lock; entries never shrink,
         // so the starting point stays valid.
-        let mut fresh = Vec::with_capacity(needed - adopt_from);
-        for page in adopt_from..needed {
-            fresh.push(checksum_of(seg, seg_len, page)?);
-        }
+        let fresh = checksums_of(seg, seg_len, adopt_from..needed)?;
         {
             let mut entries = self.entries.lock();
             for (i, sum) in fresh.into_iter().enumerate() {
@@ -290,12 +293,32 @@ impl std::fmt::Debug for SegmentChecksums {
 
 /// CRC-32 of `page`'s current bytes on the segment device.
 pub fn checksum_of(seg: &dyn Device, seg_len: u64, page: usize) -> Result<u32> {
-    let len = page_len(seg_len, page);
-    let mut buf = vec![0u8; len];
-    if len > 0 {
-        seg.read_at(page as u64 * PAGE_SIZE, &mut buf)?;
+    Ok(checksums_of(seg, seg_len, page..page + 1)?
+        .pop()
+        .unwrap_or_default())
+}
+
+/// CRC-32 of the current bytes of each page in `pages`, read
+/// [`PAGES_PER_READ`] pages per device read (catalog adoption reads a
+/// whole segment this way).
+fn checksums_of(seg: &dyn Device, seg_len: u64, pages: Range<usize>) -> Result<Vec<u32>> {
+    let mut sums = Vec::with_capacity(pages.len());
+    let mut buf = Vec::new();
+    let mut first = pages.start;
+    while first < pages.end {
+        let n = PAGES_PER_READ.min(pages.end - first);
+        let from = (first as u64 * PAGE_SIZE).min(seg_len);
+        let to = ((first + n) as u64 * PAGE_SIZE).min(seg_len);
+        buf.resize((to - from) as usize, 0);
+        if !buf.is_empty() {
+            seg.read_at(from, &mut buf)?;
+        }
+        // Pages at or past the segment's end hold no bytes.
+        let mut page_bytes = buf.chunks(PAGE_SIZE as usize);
+        sums.extend((0..n).map(|_| crc32(page_bytes.next().unwrap_or_default())));
+        first += n;
     }
-    Ok(crc32(&buf))
+    Ok(sums)
 }
 
 /// Reads `page` into `buf` with checksum scrutiny: mirror read-repair via
@@ -367,8 +390,9 @@ pub(crate) enum ApplyContext {
 /// footprint is the crash being recovered from, not rot). Otherwise the
 /// stale entry stays so the page keeps failing verification until a
 /// mirror, a scrub rung, or quarantine resolves it. Ordering: range
-/// writes → segment sync → catalog persist; the caller advances the log
-/// head only after this returns.
+/// writes (one per run of byte-adjacent entries, see [`write_tree_runs`])
+/// → segment sync → catalog persist; the caller advances the log head
+/// only after this returns.
 pub(crate) fn apply_tree_verified(
     dev: &dyn Device,
     catalog: Option<&SegmentChecksums>,
@@ -377,9 +401,7 @@ pub(crate) fn apply_tree_verified(
 ) -> Result<ApplyOutcome> {
     let mut outcome = ApplyOutcome::default();
     let Some(catalog) = catalog else {
-        for (start, payload) in tree.iter() {
-            dev.write_at(start, payload)?;
-        }
+        write_tree_runs(dev, tree)?;
         dev.sync()?;
         return Ok(outcome);
     };
@@ -428,12 +450,36 @@ pub(crate) fn apply_tree_verified(
         // their bytes, but the stale entry stays so the page keeps
         // failing verification until a mirror or quarantine resolves it.
     }
-    for (start, payload) in tree.iter() {
-        dev.write_at(start, payload)?;
-    }
+    write_tree_runs(dev, tree)?;
     dev.sync()?;
     catalog.persist()?;
     Ok(outcome)
+}
+
+/// Writes every tree entry at its offset, one device write per run of
+/// byte-adjacent entries: the same bytes at the same offsets as a write
+/// per entry, in ascending order. A run stops growing before it would
+/// pass [`APPLY_RUN_MAX`] bytes; an entry larger than that is a run of
+/// its own.
+fn write_tree_runs(dev: &dyn Device, tree: &IntervalMap) -> Result<()> {
+    let mut run: Vec<u8> = Vec::new();
+    let mut run_at = 0u64;
+    for (start, payload) in tree.iter() {
+        let joins =
+            run_at + run.len() as u64 == start && run.len() + payload.len() <= APPLY_RUN_MAX;
+        if !joins {
+            if !run.is_empty() {
+                dev.write_at(run_at, &run)?;
+                run.clear();
+            }
+            run_at = start;
+        }
+        run.extend_from_slice(payload);
+    }
+    if !run.is_empty() {
+        dev.write_at(run_at, &run)?;
+    }
+    Ok(())
 }
 
 /// What one scrub pass did ([`Rvm::scrub`](crate::Rvm::scrub) and the
@@ -476,7 +522,7 @@ impl ScrubReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvm_storage::MemDevice;
+    use rvm_storage::{FlakyDevice, MemDevice};
 
     fn seg_with(len: u64, pattern: u8) -> Arc<MemDevice> {
         let seg = Arc::new(MemDevice::with_len(len));
@@ -642,5 +688,64 @@ mod tests {
         seg.read_at(0, &mut on_disk).unwrap();
         assert_eq!(&on_disk[..64], &[8u8; 64]);
         assert!(!cat.verify(0, &on_disk));
+    }
+
+    #[test]
+    fn run_writes_match_per_entry_writes_and_count_one_write_per_run() {
+        const SEG_LEN: u64 = 128 * PAGE_SIZE;
+        let mut tree = IntervalMap::new();
+        // Byte-adjacent entries: one run.
+        tree.insert_if_uncovered(0, &[1; 100]);
+        tree.insert_if_uncovered(100, &[2; 100]);
+        tree.insert_if_uncovered(200, &[3; 60]);
+        // A gap, then a lone entry: its own run.
+        tree.insert_if_uncovered(300, &[4; 50]);
+        // Pruned: the newer entry splits the older one into adjacent
+        // fragments on either side, and the three form one run.
+        tree.insert_if_uncovered(5000, &[5; 100]);
+        tree.insert_if_uncovered(4950, &[6; 250]);
+        // Adjacent 4 KiB entries spanning 160 KiB: the 64 KiB cap cuts
+        // them into runs of 16, 16 and 8 entries.
+        let base = 16 * PAGE_SIZE;
+        for i in 0..40u64 {
+            tree.insert_if_uncovered(base + i * PAGE_SIZE, &[7 + i as u8; PAGE_SIZE as usize]);
+        }
+        // An entry larger than the cap is a run of its own.
+        tree.insert_if_uncovered(base + 41 * PAGE_SIZE, &[99; (APPLY_RUN_MAX + 100)]);
+        assert_eq!(tree.len(), 48);
+        let runs = 1 + 1 + 1 + 3 + 1;
+
+        // Reference: the tree written one entry at a time.
+        let reference = seg_with(SEG_LEN, 0x11);
+        for (start, payload) in tree.iter() {
+            reference.write_at(start, payload).unwrap();
+        }
+        let image = reference.snapshot();
+
+        for with_catalog in [false, true] {
+            // A fault-free flaky device is a counting device.
+            let mem = seg_with(SEG_LEN, 0x11);
+            let seg = FlakyDevice::new(Arc::clone(&mem), vec![]);
+            let side: Arc<dyn Device> = Arc::new(MemDevice::with_len(0));
+            let cat = SegmentChecksums::open(side, &seg, SEG_LEN).unwrap();
+            let out = apply_tree_verified(
+                &seg,
+                with_catalog.then_some(&cat),
+                &tree,
+                ApplyContext::Truncation,
+            )
+            .unwrap();
+            assert_eq!(out.corruptions_detected, 0);
+            assert_eq!(mem.snapshot(), image, "catalog: {with_catalog}");
+            let (_, writes, _) = seg.clock().ops_seen();
+            assert_eq!(writes, runs, "catalog: {with_catalog}");
+            if with_catalog {
+                for page in 0..page_count(SEG_LEN) {
+                    let at = page * PAGE_SIZE as usize;
+                    let want = crc32(&image[at..at + PAGE_SIZE as usize]);
+                    assert_eq!(cat.expected(page), Some(want), "page {page}");
+                }
+            }
+        }
     }
 }

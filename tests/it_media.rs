@@ -9,8 +9,13 @@
 //!   quarantine: that region alone turns read-only degraded
 //!   ([`RvmError::Media`]) while other regions keep committing;
 //! * a seeded rot storm over a mirrored segment → repeated scrubs
-//!   converge with every detection repaired and nothing quarantined.
+//!   converge with every detection repaired and nothing quarantined;
+//! * batched eager loads (64 pages per segment read) → a page rotted in
+//!   flight inside a batch goes through the ladder and counts as
+//!   detected and repaired, resident rot still quarantines, and every
+//!   loaded page counts as scrubbed exactly once.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use rvm::segment::{DeviceResolver, MemResolver};
@@ -283,4 +288,143 @@ fn seeded_rot_storm_over_a_mirror_converges_with_all_corruptions_repaired() {
         q.stats
     );
     rvm.terminate().unwrap();
+}
+
+/// A segment device that flips one byte of `page` the first time a
+/// multi-page read covers it: rot on the wire, gone on the next read.
+struct RotInFlight {
+    inner: Arc<MemDevice>,
+    page: u64,
+    armed: AtomicBool,
+}
+
+impl Device for RotInFlight {
+    fn len(&self) -> rvm_storage::Result<u64> {
+        self.inner.len()
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> rvm_storage::Result<()> {
+        self.inner.read_at(offset, buf)?;
+        let at = self.page * PAGE_SIZE + 17;
+        let covers = offset <= at && at < offset + buf.len() as u64;
+        if covers && buf.len() as u64 > PAGE_SIZE && self.armed.swap(false, Ordering::Relaxed) {
+            buf[(at - offset) as usize] ^= 0x40;
+        }
+        Ok(())
+    }
+    fn write_at(&self, offset: u64, data: &[u8]) -> rvm_storage::Result<()> {
+        self.inner.write_at(offset, data)
+    }
+    fn sync(&self) -> rvm_storage::Result<()> {
+        self.inner.sync()
+    }
+    fn set_len(&self, len: u64) -> rvm_storage::Result<()> {
+        self.inner.set_len(len)
+    }
+}
+
+/// Seeds `pages` pages of `SEG` with committed data (page `i` filled
+/// with byte `i`), truncates it to the segment, and shuts down clean.
+fn seed_segment(log: &Arc<MemDevice>, segs: &MemResolver, pages: u64) {
+    let rvm = Rvm::initialize(
+        Options::new(log.clone())
+            .resolver(segs.clone().into_resolver())
+            .create_if_empty(),
+    )
+    .unwrap();
+    let region = rvm
+        .map(&RegionDescriptor::new(SEG, 0, pages * PAGE_SIZE))
+        .unwrap();
+    for page in 0..pages {
+        commit_fill(
+            &rvm,
+            &region,
+            page * PAGE_SIZE,
+            &[page as u8; PAGE_SIZE as usize],
+        );
+    }
+    rvm.truncate().unwrap();
+    rvm.terminate().unwrap();
+}
+
+#[test]
+fn batched_load_counts_in_flight_rot_as_repaired_and_every_page_as_scrubbed() {
+    const PAGES: u64 = 100; // one full 64-page batch and a partial one
+    let log = Arc::new(MemDevice::with_len(1 << 22));
+    let segs = MemResolver::new();
+    seed_segment(&log, &segs, PAGES);
+
+    let rot = Arc::new(RotInFlight {
+        inner: segs.get(SEG).unwrap(),
+        page: 37,
+        armed: AtomicBool::new(true),
+    });
+    let resolver: DeviceResolver = {
+        let rot = Arc::clone(&rot);
+        let segs = segs.clone();
+        Arc::new(move |name: &str, min_len: u64| {
+            if name == SEG {
+                Ok(Arc::clone(&rot) as Arc<dyn Device>)
+            } else {
+                segs.resolve(name, min_len)
+            }
+        })
+    };
+    let rvm = Rvm::initialize(Options::new(log).resolver(resolver).create_if_empty()).unwrap();
+    let before = rvm.query().stats;
+    let region = rvm
+        .map(&RegionDescriptor::new(SEG, 0, PAGES * PAGE_SIZE))
+        .unwrap();
+    assert!(!rot.armed.load(Ordering::Relaxed), "the batch read rotted");
+
+    let q = rvm.query().stats;
+    assert_eq!(q.pages_scrubbed - before.pages_scrubbed, PAGES, "{q:?}");
+    assert_eq!(
+        q.corruptions_detected - before.corruptions_detected,
+        1,
+        "{q:?}"
+    );
+    assert_eq!(
+        q.corruptions_repaired - before.corruptions_repaired,
+        1,
+        "{q:?}"
+    );
+    assert_eq!(q.regions_quarantined, 0, "{q:?}");
+    for page in 0..PAGES {
+        assert_eq!(
+            region.read_vec(page * PAGE_SIZE, PAGE_SIZE).unwrap(),
+            vec![page as u8; PAGE_SIZE as usize],
+            "page {page}"
+        );
+    }
+    rvm.terminate().unwrap();
+}
+
+#[test]
+fn batched_load_still_quarantines_resident_rot() {
+    const PAGES: u64 = 80;
+    let log = Arc::new(MemDevice::with_len(1 << 22));
+    let segs = MemResolver::new();
+    seed_segment(&log, &segs, PAGES);
+    // Rot the only copy while offline: every read sees it.
+    segs.get(SEG)
+        .unwrap()
+        .write_at(70 * PAGE_SIZE + 9, &[0xEE; 4])
+        .unwrap();
+
+    let rvm = Rvm::initialize(
+        Options::new(log)
+            .resolver(segs.clone().into_resolver())
+            .create_if_empty(),
+    )
+    .unwrap();
+    let err = rvm
+        .map(&RegionDescriptor::new(SEG, 0, PAGES * PAGE_SIZE))
+        .unwrap_err();
+    assert!(matches!(err, RvmError::Media(_)), "{err:?}");
+    let q = rvm.query().stats;
+    assert_eq!(q.regions_quarantined, 1, "{q:?}");
+    assert_eq!(q.corruptions_detected, 1, "{q:?}");
+    assert_eq!(q.corruptions_repaired, 0, "{q:?}");
+    // Pages 0..=70 were loaded (70 clean, the last through the ladder).
+    assert_eq!(q.pages_scrubbed, 71, "{q:?}");
 }
