@@ -52,16 +52,18 @@
 //! Epoch truncation releases `core` while applying its frozen span, so a
 //! leader can fill *during* a truncation. If the log cannot fit the next
 //! member, the leader rolls its staged appends back (nothing of the batch
-//! reached the device yet) and either waits on `epoch_done` or truncates
-//! synchronously; any release of `core` restarts the fill from scratch
-//! with a fresh checkpoint.
+//! reached the device yet) and runs the make-room step
+//! ([`RvmShared::make_room`]) that every append shares: wait out the
+//! epoch, settle in-flight batches, or truncate synchronously. The fill
+//! then restarts from scratch with a fresh checkpoint.
 //!
 //! ## The floor
 //!
 //! Truncation must never treat in-flight records as stable: the oldest
 //! unreaped batch's checkpoint is the **pipeline floor**
 //! ([`LogPipeline::floor`]), and every truncation path caps its work below
-//! it. Everything under the floor is written *and forced*.
+//! it ([`RvmShared::stable_end`]). Everything under the floor is written
+//! *and forced*.
 //!
 //! Lock order: the queue lock (`state`) is never held together with
 //! `core`; the leader claims its batch, releases `state`, then takes
@@ -219,20 +221,18 @@ impl LogPipeline {
     }
 }
 
-/// Waits every token, returning the first failure.
-fn wait_tokens(
-    dev: &dyn Device,
-    writes: Vec<IoToken>,
-    force: Option<IoToken>,
-) -> rvm_storage::Result<()> {
-    let mut io = Ok(());
-    for token in writes.into_iter().chain(force) {
-        let r = dev.wait(token);
-        if io.is_ok() {
-            io = r;
+impl InFlightBatch {
+    /// Waits every token, returning the batch and the first failure.
+    fn wait(self) -> (Batch, Result<()>) {
+        let mut io = Ok(());
+        for token in self.write_tokens.into_iter().chain(self.force_token) {
+            let r = self.dev.wait(token);
+            if io.is_ok() {
+                io = r;
+            }
         }
+        (self.batch, io.map_err(RvmError::from))
     }
-    io
 }
 
 impl RvmShared {
@@ -371,29 +371,9 @@ impl RvmShared {
                     // device yet.
                     drop(work);
                     core.wal.rollback_to(ckpt);
-                    let stall = Instant::now();
-                    if core.epoch.is_some() {
-                        // The in-flight epoch owns the head; wait it out
-                        // (releases the core lock).
-                        self.epoch_done.wait(&mut core);
-                        core.wait_generation += 1;
-                        stats.add(&stats.truncation_stall_ns, elapsed_ns(stall));
-                        continue 'attempt;
-                    }
-                    // Synchronous truncation can only reclaim below the
-                    // pipeline floor, so settle in-flight batches first.
-                    // Reaping needs the core lock — release it around the
-                    // drain.
-                    if !self.pipeline.is_idle() {
-                        drop(core);
-                        self.pipeline_drain();
-                        core = self.core.lock();
-                        core.wait_generation += 1;
-                    }
-                    match self.epoch_truncate_locked(&mut core) {
-                        Ok(advanced) => {
-                            stats.add(&stats.truncation_stall_ns, elapsed_ns(stall));
-                            *wont_fit = !advanced;
+                    match self.make_room(&mut core) {
+                        Ok(made) => {
+                            *wont_fit = !made;
                             continue 'attempt;
                         }
                         Err(e) => break 'attempt Err(e),
@@ -530,9 +510,8 @@ impl RvmShared {
 
     /// Reaps every in-flight batch. Used by paths that need the log
     /// settled: mapping a segment the pipeline may reference, explicit
-    /// truncation, and the space-critical synchronous truncation (which
-    /// can only reclaim below the pipeline floor). Must be called with
-    /// **no** locks held.
+    /// truncation, and the make-room step (truncation can only reclaim
+    /// below the pipeline floor). Must be called with **no** locks held.
     pub(crate) fn pipeline_drain(&self) {
         while !self.pipeline.is_idle() {
             self.reap_front();
@@ -544,13 +523,7 @@ impl RvmShared {
     /// it under `core`, publishes every member's outcome, and releases
     /// the reap floor.
     fn reap_batch(&self, in_flight: InFlightBatch) {
-        let InFlightBatch {
-            batch,
-            write_tokens,
-            force_token,
-            dev,
-        } = in_flight;
-        let io = wait_tokens(dev.as_ref(), write_tokens, force_token).map_err(RvmError::from);
+        let (batch, io) = in_flight.wait();
         let skip_rollback = self.tuning.read().mutation.skip_group_rollback;
         let mut core = self.core.lock();
         let result = self.settle_locked(&mut core, &batch, io, skip_rollback);

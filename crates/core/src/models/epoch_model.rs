@@ -1,13 +1,13 @@
 //! Interleaving model of the `epoch_done` condvar + `wait_generation`
-//! handshake between concurrent epoch truncation and
-//! `append_with_space`.
+//! handshake between concurrent epoch truncation and the make-room step
+//! of `append_with_space`.
 //!
 //! Threads: one truncator running the three-phase epoch protocol, and
 //! two committers appending into a log with no free space. A committer
 //! that finds an epoch in flight waits on `epoch_done` (releasing the
 //! core lock and bumping `wait_generation` on wake); one that finds no
-//! epoch runs the synchronous space-critical truncation itself, exactly
-//! as `append_with_space` falls back.
+//! epoch runs the space-critical epoch itself with the lock held, exactly
+//! as the make-room step (`RvmShared::make_room`) does.
 //!
 //! Checked properties:
 //!

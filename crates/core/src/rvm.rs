@@ -1,9 +1,11 @@
-//! The top-level RVM instance: initialization, mapping, commit paths,
-//! flushing, and truncation (Figure 4's operation set).
+//! The top-level RVM instance (Figure 4's operation set): initialization,
+//! mapping, commit dispatch, spool flushing, the debug checker and
+//! `query`. The flush-commit leader lives in [`crate::commit`], truncation
+//! in [`crate::truncation`], and the scrub pass in [`crate::scrub`].
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -16,31 +18,28 @@ use crate::cursor::WalCursor;
 use crate::error::{Result, RvmError};
 use crate::log::record::{self, RecordRange};
 use crate::log::status::{format_log, read_status, write_status, StatusBlock, LOG_AREA_START};
-use crate::log::wal::{scan_forward, AppendInfo, Wal};
+use crate::log::wal::{AppendInfo, Wal};
 use crate::options::{CommitMode, LoadPolicy, Options, Tuning, TxnMode, PAGE_SIZE};
 use crate::query::{LogInfo, QueryInfo};
 use crate::ranges::{ByteRange, RangeSet};
-use crate::recovery::{build_latest_trees, recover, RecoveryReport};
+use crate::recovery::{recover, RecoveryReport};
 use crate::region::{Region, RegionDescriptor, RegionInner, RegionMemory};
 use crate::retry::{retry_resolver, Retrier, RetryDevice};
-use crate::scrub::{
-    apply_tree_verified, read_page_verified, sidecar_name, ApplyContext, ApplyOutcome, ScrubReport,
-    SegmentChecksums,
-};
+use crate::scrub::{sidecar_name, spawn_scrub_thread, ScrubReport, SegmentChecksums};
 use crate::segment::{DeviceResolver, SegmentId, SegmentInfo};
 use crate::spool::{SpoolPlane, SpooledTxn};
 use crate::stats::{Stats, StatsSnapshot, TracedMutex};
+use crate::truncation::epoch::EpochInFlight;
 use crate::truncation::page_vector::PageVector;
-use crate::truncation::{PageDesc, PageQueue};
+use crate::truncation::trigger::spawn_bg_thread;
+use crate::truncation::PageQueue;
 use crate::txn::{Transaction, TxnRegion};
 
-/// Pages written per incremental-truncation sync batch.
-const INCREMENTAL_BATCH_PAGES: usize = 32;
-
 /// The held core lock. Functions that may *release and reacquire* the
-/// lock (waiting out an in-flight epoch truncation) take this guard type;
+/// lock (waiting out an in-flight epoch or another thread's pipeline
+/// reap, or releasing it around an epoch apply) take this guard type;
 /// functions that only mutate state take plain `&mut Core`.
-type CoreGuard<'a> = MutexGuard<'a, Core>;
+pub(crate) type CoreGuard<'a> = MutexGuard<'a, Core>;
 
 /// State guarded by the "core" lock: the WAL, the segment table, and the
 /// page queue. Historically this one lock also guarded the spool, the
@@ -55,9 +54,9 @@ pub(crate) struct Core {
     pub(crate) page_queue: PageQueue,
     /// Segments referenced by live (untruncated) log records.
     pub(crate) segs_in_log: HashSet<u32>,
-    /// The in-flight concurrent epoch truncation, if any (§5.1.2,
-    /// Figure 6: the old epoch is applied to segments while forward
-    /// processing continues in the rest of the log).
+    /// The epoch being truncated, if any (§5.1.2, Figure 6: the old
+    /// epoch is applied to segments while forward processing continues in
+    /// the rest of the log; see [`crate::truncation::epoch`]).
     pub(crate) epoch: Option<EpochInFlight>,
     /// Bumped by any thread that releases and reacquires the core lock
     /// around log appends (waiting out an in-flight epoch, or draining
@@ -66,27 +65,6 @@ pub(crate) struct Core {
     /// records may have interleaved and the checkpoint is no longer a
     /// rollback point.
     pub(crate) wait_generation: u64,
-}
-
-/// A concurrent epoch truncation in flight: the frozen span
-/// `[wal.head(), end)` is being scanned and applied to data segments with
-/// the core lock *released*. The head does not move and nothing in the
-/// span can be overwritten meanwhile, because free-space accounting still
-/// counts the span as live; and everything in it is fully written and
-/// forced, because records are appended and forced under a single lock
-/// hold.
-pub(crate) struct EpochInFlight {
-    /// Exclusive logical end of the frozen span.
-    end: u64,
-    /// `next_seq` the log had at `end` when the epoch was snapshotted
-    /// (becomes `seq_at_head` when the head advances to `end`).
-    next_seq: u64,
-    /// Segments referenced by frozen-span records (restored on failure).
-    segs: HashSet<u32>,
-    /// Page-queue descriptors covered by the frozen span, drained at
-    /// snapshot time so commits landing during the apply re-enqueue
-    /// their pages with new-epoch offsets.
-    drained: Vec<PageDesc>,
 }
 
 /// Shared library state behind [`Rvm`] handles and live transactions.
@@ -119,15 +97,14 @@ pub(crate) struct RvmShared {
     seg_catalogs: RwLock<HashMap<u32, Arc<SegmentChecksums>>>,
     /// Mirror of `core.page_queue.len()` (see [`PageQueue::gauge`]).
     queued_pages: Arc<AtomicUsize>,
-    /// Mirror of `core.epoch.is_some()` for the *concurrent* epoch
-    /// protocol, so `query` reports `truncation_in_flight` without the
-    /// core lock. (The synchronous space-critical path never sets
-    /// `core.epoch` and so never sets this either, same as before.)
-    epoch_active: AtomicBool,
+    /// Set while a lock-releasing epoch run is in flight, so `query`
+    /// reports `truncation_in_flight` without the core lock. A
+    /// space-critical run holds `core` throughout and never sets it.
+    pub(crate) epoch_active: AtomicBool,
     /// The flush-commit queue (see [`crate::commit`]). Its lock is never
     /// held while acquiring `core` or vice versa.
     pub(crate) group: CommitQueue,
-    regions: RwLock<HashMap<u64, Arc<RegionInner>>>,
+    pub(crate) regions: RwLock<HashMap<u64, Arc<RegionInner>>>,
     /// Debug-mode checker state (snapshots, declared ranges, violations).
     /// Lock order: `regions` → `check` → region memory locks; never taken
     /// while holding `core`.
@@ -135,26 +112,26 @@ pub(crate) struct RvmShared {
     next_tid: AtomicU64,
     next_region_id: AtomicU64,
     pub(crate) active_txns: AtomicU64,
-    terminated: AtomicBool,
+    pub(crate) terminated: AtomicBool,
     /// Set when an unrecoverable I/O failure left the durable image ahead
     /// of what callers were told; see [`RvmError::Poisoned`].
     pub(crate) poisoned: AtomicBool,
-    bg_wakeup: Mutex<bool>,
-    bg_condvar: Condvar,
+    pub(crate) bg_wakeup: Mutex<bool>,
+    pub(crate) bg_condvar: Condvar,
     /// Tells the background truncation thread to exit; set by
     /// [`Rvm::set_options`] when `background_truncation` is toggled off.
-    bg_stop: AtomicBool,
+    pub(crate) bg_stop: AtomicBool,
     /// Wakeup flag/condvar/stop for the background scrubber thread,
     /// mirroring the truncation trio above.
-    scrub_wakeup: Mutex<bool>,
-    scrub_condvar: Condvar,
-    scrub_stop: AtomicBool,
+    pub(crate) scrub_wakeup: Mutex<bool>,
+    pub(crate) scrub_condvar: Condvar,
+    pub(crate) scrub_stop: AtomicBool,
     /// Paired with `core`: signalled whenever an in-flight epoch
     /// truncation completes or fails. Waiters hold the core lock.
     pub(crate) epoch_done: Condvar,
     /// True while an epoch apply is running off-lock (phase 2); commits
     /// that complete in that window count `commits_during_truncation`.
-    truncating: AtomicBool,
+    pub(crate) truncating: AtomicBool,
     /// Flush-commit batches submitted but not yet reaped (see
     /// [`crate::commit`]); only [`Tuning::log_pipeline_depth`] 2 leaves
     /// batches here. Its
@@ -486,7 +463,7 @@ impl Rvm {
             if core.segs_in_log.contains(&seg_id.as_u32()) || shared.spool.references(seg_id) {
                 let r = shared.flush_spool_locked(&mut core);
                 shared.guard_io(r)?;
-                let r = shared.epoch_truncate_locked(&mut core);
+                let r = shared.epoch_run(&mut core, false);
                 shared.guard_io(r)?;
             }
         }
@@ -561,11 +538,7 @@ impl Rvm {
     /// first for that.
     pub fn truncate(&self) -> Result<()> {
         self.check_live()?;
-        // Settle any in-flight pipelined batches first: the epoch can
-        // only freeze the span below the pipeline floor, and an explicit
-        // truncate promises to reclaim everything committed so far.
-        self.shared.pipeline_drain();
-        self.shared.epoch_truncate_concurrent(None, true)?;
+        self.shared.epoch_truncate(None)?;
         Ok(())
     }
 
@@ -828,7 +801,12 @@ impl RvmShared {
     /// the `seg_devices` registry plane; only the miss path needs `core`
     /// (for the durable name table), which every caller already holds.
     /// The registry guard is never held across device I/O.
-    fn segment_device(&self, core: &Core, seg: SegmentId, min_len: u64) -> Result<Arc<dyn Device>> {
+    pub(crate) fn segment_device(
+        &self,
+        core: &Core,
+        seg: SegmentId,
+        min_len: u64,
+    ) -> Result<Arc<dyn Device>> {
         let cached = self.seg_devices.read().get(&seg.as_u32()).cloned();
         if let Some(dev) = cached {
             if dev.len()? < min_len {
@@ -860,7 +838,7 @@ impl RvmShared {
     /// when [`Tuning::segment_checksums`] is off. A cached catalog is
     /// grown to cover a segment that grew since it was opened. Same plane
     /// discipline as [`RvmShared::segment_device`].
-    fn segment_catalog(
+    pub(crate) fn segment_catalog(
         &self,
         core: &Core,
         seg: SegmentId,
@@ -896,20 +874,8 @@ impl RvmShared {
         self.cursor.snapshot().utilization(self.log_capacity)
     }
 
-    /// Charges a verified apply's corruption counts to the instance-wide
-    /// media counters.
-    fn charge_media(&self, outcome: &ApplyOutcome) {
-        let media = &self.stats.media;
-        media
-            .corruptions_detected
-            .fetch_add(outcome.corruptions_detected, Ordering::Relaxed);
-        media
-            .corruptions_repaired
-            .fetch_add(outcome.corruptions_repaired, Ordering::Relaxed);
-    }
-
     /// Writes the status block from live state.
-    fn write_status_locked(&self, core: &mut Core) -> Result<()> {
+    pub(crate) fn write_status_locked(&self, core: &mut Core) -> Result<()> {
         let mut status = StatusBlock {
             seq: core.status_seq,
             head: core.wal.head(),
@@ -926,13 +892,11 @@ impl RvmShared {
         Ok(())
     }
 
-    /// Appends a record, making room as needed. With an epoch truncation
-    /// in flight, the thread waits for it to free the frozen span — the
-    /// wait **releases the core lock** (callers must re-validate any
-    /// state derived from it; `Core::wait_generation` records that the
-    /// release happened). With no epoch in flight, it falls back to the
-    /// synchronous space-critical epoch truncation of §5.1.2. Both stall
-    /// paths are charged to `truncation_stall_ns`.
+    /// Appends a record, running the make-room step
+    /// ([`RvmShared::make_room`]) until it fits. Making room may
+    /// **release the core lock** (callers must re-validate any state
+    /// derived from it; `Core::wait_generation` records that the release
+    /// happened).
     fn append_with_space(
         &self,
         core: &mut CoreGuard<'_>,
@@ -946,34 +910,15 @@ impl RvmShared {
                 capacity: core.wal.capacity(),
             });
         }
-        loop {
-            if core.wal.space_needed(padded) <= core.wal.free_space() {
-                return core.wal.append_txn(tid, ranges);
-            }
-            let stall = Instant::now();
-            if core.epoch.is_some() {
-                // The in-flight epoch owns the head and will free the
-                // frozen span when it completes; waiting releases the
-                // core lock so the apply thread can finish phase 3.
-                self.epoch_done.wait(core);
-                core.wait_generation += 1;
-                self.stats
-                    .add(&self.stats.truncation_stall_ns, elapsed_ns(stall));
-                if self.poisoned.load(Ordering::Acquire) {
-                    return Err(RvmError::Poisoned);
-                }
-                continue;
-            }
-            let advanced = self.epoch_truncate_locked(core);
-            self.stats
-                .add(&self.stats.truncation_stall_ns, elapsed_ns(stall));
-            if !advanced? {
+        while core.wal.space_needed(padded) > core.wal.free_space() {
+            if !self.make_room(core)? {
                 return Err(RvmError::LogFull {
                     needed: core.wal.space_needed(padded),
                     capacity: core.wal.free_space(),
                 });
             }
         }
+        core.wal.append_txn(tid, ranges)
     }
 
     /// `begin_transaction` hook: snapshots every fully loaded mapped
@@ -1318,9 +1263,8 @@ impl RvmShared {
     }
 
     /// Writes every spooled record to the log and forces it once. May
-    /// release and reacquire the core lock if an append has to wait out
-    /// an in-flight epoch truncation (see
-    /// [`RvmShared::append_with_space`]).
+    /// release and reacquire the core lock if an append has to make room
+    /// (see [`RvmShared::append_with_space`]).
     pub(crate) fn flush_spool_locked(&self, core: &mut CoreGuard<'_>) -> Result<()> {
         if self.spool.is_empty() {
             return Ok(());
@@ -1356,684 +1300,6 @@ impl RvmShared {
         }
         Ok(())
     }
-
-    /// Synchronous epoch truncation (§5.1.2's "space critical" path): the
-    /// recovery procedure applied to the whole live log under the core
-    /// lock, without releasing it. Only legal when no concurrent epoch is
-    /// in flight — the two would race for the head. Returns whether the
-    /// head moved.
-    pub(crate) fn epoch_truncate_locked(&self, core: &mut Core) -> Result<bool> {
-        debug_assert!(
-            core.epoch.is_none(),
-            "synchronous epoch truncation with an epoch in flight"
-        );
-        if core.wal.used() == 0 {
-            return Ok(false);
-        }
-        let head = core.wal.head();
-        // In-flight pipelined batches past the floor are written (or still
-        // being written) but not forced; only the stable prefix below the
-        // floor may be scanned and reclaimed.
-        let split = match self.pipeline.floor() {
-            Some(f) => f.tail().min(core.wal.tail()),
-            None => core.wal.tail(),
-        };
-        if split <= head {
-            return Ok(false);
-        }
-        let scan = scan_forward(
-            core.wal.device().as_ref(),
-            core.wal.capacity(),
-            head,
-            core.wal.seq_at_head(),
-            Some(split),
-        )?;
-
-        let trees = build_latest_trees(&scan.records);
-        let mut seg_ids: Vec<u32> = trees.keys().copied().collect();
-        seg_ids.sort_unstable();
-        for seg_raw in seg_ids {
-            let tree = &trees[&seg_raw];
-            let needed = tree
-                .iter()
-                .map(|(s, p)| s + p.len() as u64)
-                .max()
-                .unwrap_or(0);
-            let dev = self.segment_device(core, SegmentId::new(seg_raw), needed)?;
-            let catalog = self.segment_catalog(core, SegmentId::new(seg_raw), &dev)?;
-            // Writes, syncs, and persists the catalog — all before the
-            // head advance below (the scrub module's crash ordering).
-            let outcome = apply_tree_verified(
-                dev.as_ref(),
-                catalog.as_deref(),
-                tree,
-                ApplyContext::Truncation,
-            )?;
-            self.charge_media(&outcome);
-        }
-
-        let stats = &self.stats;
-        stats.add(&stats.truncation_bytes_scanned, split - head);
-        for tree in trees.values() {
-            stats.add(&stats.truncation_ranges_applied, tree.len() as u64);
-            stats.add(&stats.truncation_bytes_applied, tree.total_len());
-        }
-        core.wal.advance_head(scan.tail, scan.next_seq);
-        if scan.tail == core.wal.tail() {
-            core.segs_in_log.clear();
-            core.page_queue.clear();
-            for region in self.regions.read().values() {
-                region.page_vector.lock().clear_dirty_where_flushed();
-            }
-        } else {
-            // Records above the pipeline floor are still live: drop only
-            // the queue prefix this epoch applied and keep the (possibly
-            // overbroad — that is merely conservative) segment set.
-            core.page_queue.drain_below(scan.tail);
-        }
-        self.write_status_locked(core)?;
-        self.stats.add(&self.stats.epoch_truncations, 1);
-        Ok(true)
-    }
-
-    /// Concurrent epoch truncation (§5.1.2, Figure 6: the old epoch is
-    /// truncated "while forward processing continues in the rest" of the
-    /// log). Three phases:
-    ///
-    /// 1. **Snapshot** (core lock held): freeze the span
-    ///    `[head, tail)` as the epoch, take over its segment set, drain
-    ///    its page-queue prefix, and persist the boundary in the status
-    ///    block — a crash from here on recovers by scanning from the
-    ///    unmoved head, re-applying the span idempotently.
-    /// 2. **Apply** (core lock *released*): scan the frozen span, build
-    ///    the newest-wins recovery trees, write them to the data segments
-    ///    and sync — while commits keep appending past `end`.
-    /// 3. **Complete** (core lock reacquired): advance the head to `end`,
-    ///    clear the epoch from core and status, settle the drained page
-    ///    descriptors, and wake every thread waiting on the epoch.
-    ///
-    /// The off-lock scan is safe because records are appended *and
-    /// forced* under a single core-lock hold — whenever the lock is free,
-    /// every byte of `[head, tail)` is a fully written record — and the
-    /// frozen span cannot be overwritten, because free-space accounting
-    /// counts it as live until the head advances.
-    ///
-    /// `threshold`: re-checked under the lock; with `Some(t)` the epoch
-    /// is skipped if utilization already dropped to `t` or below (another
-    /// thread truncated first). `wait_if_busy`: wait for an in-flight
-    /// epoch and then truncate what remains (explicit [`Rvm::truncate`])
-    /// versus return immediately (threshold triggers — the in-flight
-    /// epoch *is* the truncation that was asked for). Returns whether the
-    /// head moved.
-    fn epoch_truncate_concurrent(
-        &self,
-        threshold: Option<f64>,
-        wait_if_busy: bool,
-    ) -> Result<bool> {
-        // Phase 1: snapshot the epoch boundary under the core lock.
-        let (dev, area_len, start, start_seq, end) = {
-            let mut core = self.core.lock();
-            while core.epoch.is_some() {
-                if !wait_if_busy {
-                    return Ok(false);
-                }
-                self.epoch_done.wait(&mut core);
-            }
-            if self.poisoned.load(Ordering::Acquire) {
-                return Err(RvmError::Poisoned);
-            }
-            if let Some(t) = threshold {
-                if core.wal.utilization() <= t {
-                    return Ok(false);
-                }
-            }
-            if core.wal.used() == 0 {
-                return Ok(false);
-            }
-            let start = core.wal.head();
-            let start_seq = core.wal.seq_at_head();
-            // Freeze only the stable prefix below the pipeline floor:
-            // in-flight pipelined batches are written (or still being
-            // written) but not forced, and the off-lock apply requires
-            // every byte of the span to be a fully written, forced record.
-            let (end, next_seq, full) = match self.pipeline.floor() {
-                Some(f) if f.tail() < core.wal.tail() => (f.tail(), f.next_seq(), false),
-                _ => (core.wal.tail(), core.wal.next_seq(), true),
-            };
-            if end <= start {
-                return Ok(false);
-            }
-            let segs = if full {
-                std::mem::take(&mut core.segs_in_log)
-            } else {
-                // Records above the floor still reference segments; keep
-                // the set (an overbroad set is merely conservative).
-                core.segs_in_log.clone()
-            };
-            let drained = core.page_queue.drain_below(end);
-            core.epoch = Some(EpochInFlight {
-                end,
-                next_seq,
-                segs,
-                drained,
-            });
-            self.epoch_active.store(true, Ordering::Release);
-            // Persist the boundary *before* touching any segment.
-            if let Err(e) = self.write_status_locked(&mut core) {
-                self.abandon_epoch(&mut core);
-                return self.guard_io(Err(e));
-            }
-            self.truncating.store(true, Ordering::Release);
-            (
-                core.wal.device().clone(),
-                core.wal.capacity(),
-                start,
-                start_seq,
-                end,
-            )
-        };
-
-        // Phase 2: scan and apply the frozen span, off-lock.
-        let applied = self.apply_epoch_span(&dev, area_len, start, start_seq, end);
-        self.truncating.store(false, Ordering::Release);
-
-        // Phase 3: reacquire to advance the head and settle the queue.
-        let mut core = self.core.lock();
-        let result = match applied {
-            Ok(()) => {
-                let epoch = core.epoch.take().expect("epoch still in flight");
-                self.epoch_active.store(false, Ordering::Release);
-                core.wal.advance_head(epoch.end, epoch.next_seq);
-                // A drained page not re-dirtied during the apply is clean
-                // now: its latest committed bytes were all in the frozen
-                // span. One re-enqueued by a commit that landed during
-                // the apply keeps its new descriptor and its dirty bit;
-                // one with spooled (unflushed) data stays dirty too.
-                for desc in &epoch.drained {
-                    if core.page_queue.contains(desc.region_id, desc.page) {
-                        continue;
-                    }
-                    if let Some(region) = desc.region.upgrade() {
-                        let mut pv = region.page_vector.lock();
-                        let entry = pv.entry_mut(desc.page);
-                        if entry.unflushed == 0 {
-                            entry.dirty = false;
-                        }
-                    }
-                }
-                self.write_status_locked(&mut core)
-            }
-            Err(e) => {
-                self.abandon_epoch(&mut core);
-                Err(e)
-            }
-        };
-        self.epoch_done.notify_all();
-        drop(core);
-        self.guard_io(result)?;
-        self.stats.add(&self.stats.epoch_truncations, 1);
-        self.stats.add(&self.stats.epochs_truncated, 1);
-        Ok(true)
-    }
-
-    /// Scans the frozen span `[start, end)` and applies its newest-wins
-    /// trees to the data segments. Runs with the core lock released; the
-    /// lock is taken only briefly to resolve segment devices.
-    fn apply_epoch_span(
-        &self,
-        dev: &Arc<dyn Device>,
-        area_len: u64,
-        start: u64,
-        start_seq: u64,
-        end: u64,
-    ) -> Result<()> {
-        let scan = scan_forward(dev.as_ref(), area_len, start, start_seq, Some(end))?;
-        if scan.tail != end {
-            // Everything in the span was forced before the snapshot; a
-            // short scan means the log was corrupted underneath us.
-            return Err(RvmError::BadLog(format!(
-                "epoch scan ended at {} before the snapshotted boundary {end}",
-                scan.tail
-            )));
-        }
-        let trees = build_latest_trees(&scan.records);
-        let mut seg_ids: Vec<u32> = trees.keys().copied().collect();
-        seg_ids.sort_unstable();
-        type SegTargets = Vec<(Arc<dyn Device>, Option<Arc<SegmentChecksums>>)>;
-        let seg_targets: SegTargets = {
-            let core = self.core.lock();
-            let mut seg_targets = Vec::with_capacity(seg_ids.len());
-            for &seg_raw in &seg_ids {
-                let tree = &trees[&seg_raw];
-                let needed = tree
-                    .iter()
-                    .map(|(s, p)| s + p.len() as u64)
-                    .max()
-                    .unwrap_or(0);
-                let dev = self.segment_device(&core, SegmentId::new(seg_raw), needed)?;
-                let catalog = self.segment_catalog(&core, SegmentId::new(seg_raw), &dev)?;
-                seg_targets.push((dev, catalog));
-            }
-            seg_targets
-        };
-        for (seg_raw, (seg_dev, catalog)) in seg_ids.iter().zip(&seg_targets) {
-            let tree = &trees[seg_raw];
-            // Writes, syncs, and persists the catalog; the head advances
-            // only after phase 3 (the scrub module's crash ordering).
-            let outcome = apply_tree_verified(
-                seg_dev.as_ref(),
-                catalog.as_deref(),
-                tree,
-                ApplyContext::Truncation,
-            )?;
-            self.charge_media(&outcome);
-        }
-        let stats = &self.stats;
-        stats.add(&stats.truncation_bytes_scanned, end - start);
-        for tree in trees.values() {
-            stats.add(&stats.truncation_ranges_applied, tree.len() as u64);
-            stats.add(&stats.truncation_bytes_applied, tree.total_len());
-        }
-        Ok(())
-    }
-
-    /// Reverts an epoch snapshot after a failure: the span is still live
-    /// and unapplied, so its segment set and drained page descriptors go
-    /// back where they were.
-    fn abandon_epoch(&self, core: &mut Core) {
-        if let Some(epoch) = core.epoch.take() {
-            self.epoch_active.store(false, Ordering::Release);
-            core.segs_in_log.extend(epoch.segs);
-            core.page_queue.requeue_front(epoch.drained);
-        }
-    }
-
-    /// Incremental truncation (Figure 7): write dirty pages from VM in
-    /// page-queue order, advancing the log head. Returns bytes reclaimed.
-    ///
-    /// Steps are batched: up to [`INCREMENTAL_BATCH_PAGES`] writable pages
-    /// are written and their segment devices synced once before the head
-    /// advances past all of them, so each step costs one positioning
-    /// batch rather than one sync per page.
-    fn incremental_truncate_locked(&self, core: &mut CoreGuard<'_>, target: u64) -> Result<u64> {
-        let start_head = core.wal.head();
-        'outer: loop {
-            // `flush_spool_locked` below may release the core lock while
-            // waiting for space; if an epoch truncation started in that
-            // window, stop — the epoch owns the head now, and every
-            // remaining queue descriptor sits at or past its boundary.
-            if core.epoch.is_some() {
-                break;
-            }
-            if core.wal.head() - start_head >= target {
-                break;
-            }
-            if core.page_queue.is_empty() {
-                // Queue drained: every *reaped*, flushed change is
-                // applied. The log is reclaimable up to the pipeline
-                // floor; in-flight batches keep their span (their pages
-                // only enter the queue at reap).
-                let (tail, seq) = match self.pipeline.floor() {
-                    Some(f) if f.tail() < core.wal.tail() => (f.tail(), f.next_seq()),
-                    _ => (core.wal.tail(), core.wal.next_seq()),
-                };
-                if tail > core.wal.head() {
-                    let full = tail == core.wal.tail();
-                    core.wal.advance_head(tail, seq);
-                    if full {
-                        core.segs_in_log.clear();
-                    }
-                }
-                break;
-            }
-
-            // Gather a batch of writable pages from the queue head.
-            let mut batch: Vec<(Arc<RegionInner>, usize)> = Vec::new();
-            while batch.len() < INCREMENTAL_BATCH_PAGES {
-                let Some(front) = core.page_queue.front() else {
-                    break;
-                };
-                let Some(region) = front.region.upgrade() else {
-                    if batch.is_empty() {
-                        // The region was unmapped: its pages cannot be
-                        // written from VM any more. Revert to epoch
-                        // truncation (§5.1.2).
-                        self.epoch_truncate_locked(core)?;
-                        break 'outer;
-                    }
-                    break;
-                };
-                let page = front.page;
-                {
-                    let mut pv = region.page_vector.lock();
-                    let entry = *pv.entry(page);
-                    if entry.uncommitted > 0 {
-                        // "Incremental truncation is now blocked until
-                        // the uncommitted reference count drops to zero."
-                        break;
-                    }
-                    if entry.unflushed > 0 {
-                        if !batch.is_empty() {
-                            break;
-                        }
-                        // Committed data still in the spool: flushing it
-                        // is always safe and unblocks the page.
-                        drop(pv);
-                        self.flush_spool_locked(core)?;
-                        continue 'outer;
-                    }
-                    pv.entry_mut(page).reserved = true;
-                }
-                core.page_queue.pop_front();
-                batch.push((region, page));
-            }
-            if batch.is_empty() {
-                break; // blocked at the queue head
-            }
-
-            // Write the batch from VM to the data segments, one sync per
-            // distinct device. Region pages are full segment pages
-            // (mapping offsets are page-aligned), so the VM image updates
-            // the checksum catalog exactly.
-            for (region, page) in &batch {
-                let page_off = *page as u64 * PAGE_SIZE;
-                let len = PAGE_SIZE.min(region.len - page_off);
-                let buf = region.read_bytes(page_off, len);
-                region
-                    .seg_dev
-                    .write_at(region.seg_offset + page_off, &buf)?;
-                if let Some(catalog) = &region.catalog {
-                    catalog.update(((region.seg_offset + page_off) / PAGE_SIZE) as usize, &buf);
-                }
-            }
-            let mut synced: Vec<u64> = Vec::new();
-            for (region, _) in &batch {
-                if !synced.contains(&region.id) {
-                    region.seg_dev.sync()?;
-                    synced.push(region.id);
-                }
-            }
-            // Persist updated catalogs (once per segment) before the head
-            // advances past the records whose pages were just applied.
-            let mut persisted: Vec<u32> = Vec::new();
-            for (region, _) in &batch {
-                if let Some(catalog) = &region.catalog {
-                    if !persisted.contains(&region.seg.as_u32()) {
-                        catalog.persist()?;
-                        persisted.push(region.seg.as_u32());
-                    }
-                }
-            }
-            for (region, page) in &batch {
-                let mut pv = region.page_vector.lock();
-                pv.entry_mut(*page).reserved = false;
-                pv.entry_mut(*page).dirty = false;
-            }
-            self.stats.add(&self.stats.incremental_steps, 1);
-            self.stats
-                .add(&self.stats.pages_written_incremental, batch.len() as u64);
-
-            // Move the log head to the next descriptor's offset — capped
-            // at the pipeline floor: in-flight batches have no queue
-            // entries yet, so the queue can skip straight from below the
-            // floor to a later spool-flush descriptor, and the head must
-            // not jump over unforced records.
-            let floor = self.pipeline.floor();
-            let cap = |off: u64, seq: u64| match floor {
-                Some(f) if f.tail() < off => (f.tail(), f.next_seq()),
-                None | Some(_) => (off, seq),
-            };
-            let (new_head, new_seq) = match core.page_queue.front() {
-                Some(d) if d.offset > core.wal.head() => cap(d.offset, d.seq),
-                Some(_) => (core.wal.head(), core.wal.seq_at_head()),
-                None => cap(core.wal.tail(), core.wal.next_seq()),
-            };
-            core.wal.advance_head(new_head, new_seq);
-        }
-        let reclaimed = core.wal.head() - start_head;
-        if reclaimed > 0 {
-            self.write_status_locked(core)?;
-        }
-        Ok(reclaimed)
-    }
-
-    /// Runs the configured truncation mechanism once, in response to a
-    /// threshold trigger (inline committer or the background thread).
-    /// Takes the core lock itself; the caller must not hold it.
-    pub(crate) fn run_triggered_truncation(&self, tuning: &Tuning) {
-        // Threshold-triggered truncation swallows errors at its call
-        // sites, so the poison transition must happen here or a failed
-        // truncation would go entirely unnoticed.
-        let result = (|| -> Result<()> {
-            match tuning.truncation_mode {
-                crate::options::TruncationMode::Epoch => {
-                    // Concurrent protocol. If an epoch is already in
-                    // flight, it *is* the truncation this trigger asked
-                    // for — don't wait, just return.
-                    self.epoch_truncate_concurrent(Some(tuning.truncation_threshold), false)?;
-                }
-                crate::options::TruncationMode::Incremental => {
-                    let mut core = self.core.lock();
-                    // Re-check under the lock; another committer may have
-                    // truncated already. With an epoch in flight the head
-                    // is owned by its completion — nothing to do inline.
-                    if core.epoch.is_some() || core.wal.utilization() <= tuning.truncation_threshold
-                    {
-                        return Ok(());
-                    }
-                    let reclaimed = self
-                        .incremental_truncate_locked(&mut core, tuning.incremental_reclaim_bytes)?;
-                    // Blocked with space critical: revert to epoch
-                    // truncation. The revert point must sit at or above
-                    // the trigger threshold — with a threshold above
-                    // 0.95, a bare `min(0.95)` would put the "critical"
-                    // mark *below* the trigger and every blocked trigger
-                    // would look critical immediately.
-                    let critical = (tuning.truncation_threshold + 0.3)
-                        .min(0.95)
-                        .max(tuning.truncation_threshold);
-                    if reclaimed == 0 && core.wal.utilization() > critical && core.epoch.is_none() {
-                        self.epoch_truncate_locked(&mut core)?;
-                    }
-                }
-            }
-            Ok(())
-        })();
-        let _ = self.guard_io(result);
-    }
-
-    fn request_truncation(&self, tuning: &Tuning) {
-        if tuning.background_truncation {
-            let mut flag = self.bg_wakeup.lock();
-            *flag = true;
-            self.bg_condvar.notify_all();
-        } else {
-            self.run_triggered_truncation(tuning);
-        }
-    }
-
-    /// One scrub pass over every mapped region with a checksum catalog
-    /// (see [`Rvm::scrub`]). Device failures propagate (they are *not*
-    /// checksum mismatches — the media may be fine); corruption never
-    /// poisons the instance, it quarantines at most the affected regions.
-    pub(crate) fn scrub_pass(&self) -> Result<ScrubReport> {
-        let mut report = ScrubReport::default();
-        let regions: Vec<Arc<RegionInner>> = self.regions.read().values().cloned().collect();
-        for region in regions {
-            self.scrub_region(&region, &mut report)?;
-        }
-        Ok(report)
-    }
-
-    /// Scrubs one region page by page, taking the core lock per page so
-    /// commits interleave freely with a pass.
-    fn scrub_region(&self, region: &Arc<RegionInner>, report: &mut ScrubReport) -> Result<()> {
-        if region.catalog.is_none() {
-            return Ok(());
-        }
-        let pages = (region.len / PAGE_SIZE) as usize;
-        for page in 0..pages {
-            let core = self.core.lock();
-            if core.epoch.is_some() {
-                // An off-lock epoch apply owns the segment writers; the
-                // rest of this region waits for the next pass.
-                report.pages_skipped += (pages - page) as u64;
-                return Ok(());
-            }
-            if !region.mapped.load(Ordering::Acquire) || region.is_degraded() {
-                report.pages_skipped += (pages - page) as u64;
-                return Ok(());
-            }
-            self.scrub_region_page(core, region, page, report)?;
-        }
-        Ok(())
-    }
-
-    /// Verifies one region page against the catalog and runs the repair
-    /// ladder on a mismatch: bounded re-reads and mirror read-repair
-    /// (inside [`read_page_verified`]), then a rewrite from the committed
-    /// image in VM, else quarantine.
-    ///
-    /// Holding `core` for the whole page excludes every other segment
-    /// writer (truncation holds `core`; the epoch apply was ruled out by
-    /// the caller), so the read-check-rewrite sequence cannot race a
-    /// concurrent apply to the same page.
-    fn scrub_region_page(
-        &self,
-        _core: CoreGuard<'_>,
-        region: &Arc<RegionInner>,
-        page: usize,
-        report: &mut ScrubReport,
-    ) -> Result<()> {
-        let catalog = region.catalog.as_ref().expect("caller checked");
-        let media = &self.stats.media;
-        let page_off = page as u64 * PAGE_SIZE;
-        let seg_page = ((region.seg_offset + page_off) / PAGE_SIZE) as usize;
-        let mut buf = vec![0u8; PAGE_SIZE as usize];
-        let (verified, healed) =
-            read_page_verified(region.seg_dev.as_ref(), catalog, seg_page, &mut buf)?;
-        report.pages_scanned += 1;
-        media.pages_scrubbed.fetch_add(1, Ordering::Relaxed);
-        if verified {
-            if healed {
-                report.corruptions_detected += 1;
-                report.corruptions_repaired += 1;
-                media.corruptions_detected.fetch_add(1, Ordering::Relaxed);
-                media.corruptions_repaired.fetch_add(1, Ordering::Relaxed);
-            }
-            return Ok(());
-        }
-        report.corruptions_detected += 1;
-        media.corruptions_detected.fetch_add(1, Ordering::Relaxed);
-        // Re-reads and any mirror failed; next rung is a rewrite from the
-        // committed image. A *loaded* page with no uncommitted
-        // transaction activity holds exactly that image in VM: committed
-        // changes were applied at load or written since, and map-time
-        // truncation drained the segment's live log records before the
-        // load, so nothing committed is missing from memory.
-        let loaded = region
-            .unloaded
-            .lock()
-            .as_ref()
-            .is_none_or(|pending| !pending[page]);
-        if loaded {
-            let _mem = region.mem_lock.read();
-            let uncommitted = region.page_vector.lock().entry(page).uncommitted;
-            if uncommitted > 0 {
-                // VM holds uncommitted bytes; retry on a later pass.
-                report.pages_skipped += 1;
-                return Ok(());
-            }
-            let len = PAGE_SIZE.min(region.len - page_off) as usize;
-            let mut img = vec![0u8; len];
-            // SAFETY: shared memory lock held; bounds within the region.
-            unsafe { region.mem.copy_out(page_off as usize, &mut img) }?;
-            region
-                .seg_dev
-                .write_at(region.seg_offset + page_off, &img)?;
-            region.seg_dev.sync()?;
-            catalog.update(seg_page, &img);
-            catalog.persist()?;
-            report.corruptions_repaired += 1;
-            media.corruptions_repaired.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-        // Unloaded and unverifiable: no healthy replica, no VM image, and
-        // no log span to rebuild from — quarantine the region.
-        report.pages_quarantined += 1;
-        let _ = region.quarantine(seg_page);
-        Ok(())
-    }
-}
-
-fn background_truncation_loop(shared: Weak<RvmShared>) {
-    loop {
-        let Some(strong) = shared.upgrade() else {
-            return;
-        };
-        {
-            let mut flag = strong.bg_wakeup.lock();
-            if !*flag {
-                strong
-                    .bg_condvar
-                    .wait_for(&mut flag, std::time::Duration::from_millis(50));
-            }
-            *flag = false;
-        }
-        if strong.terminated.load(Ordering::Acquire) || strong.bg_stop.load(Ordering::Acquire) {
-            return;
-        }
-        let tuning = *strong.tuning.read();
-        strong.run_triggered_truncation(&tuning);
-        drop(strong);
-    }
-}
-
-/// Spawns the background truncation thread. The thread holds only a weak
-/// reference so a dropped [`Rvm`] lets it exit on its next wakeup.
-fn spawn_bg_thread(shared: &Arc<RvmShared>) -> JoinHandle<()> {
-    let weak = Arc::downgrade(shared);
-    std::thread::Builder::new()
-        .name("rvm-truncation".to_owned())
-        .spawn(move || background_truncation_loop(weak))
-        .expect("failed to spawn the rvm truncation thread")
-}
-
-fn background_scrub_loop(shared: Weak<RvmShared>) {
-    loop {
-        let Some(strong) = shared.upgrade() else {
-            return;
-        };
-        let interval = strong.tuning.read().scrub_interval_ms.max(1);
-        {
-            let mut flag = strong.scrub_wakeup.lock();
-            if !*flag {
-                strong
-                    .scrub_condvar
-                    .wait_for(&mut flag, std::time::Duration::from_millis(interval));
-            }
-            *flag = false;
-        }
-        if strong.terminated.load(Ordering::Acquire) || strong.scrub_stop.load(Ordering::Acquire) {
-            return;
-        }
-        // A pass has no caller to report device errors to; the next tick
-        // retries. A poisoned instance is left alone entirely — its
-        // durable image must not be touched again.
-        if !strong.poisoned.load(Ordering::Acquire) {
-            let _ = strong.scrub_pass();
-        }
-        drop(strong);
-    }
-}
-
-/// Spawns the background scrubber thread (weak reference, as above).
-fn spawn_scrub_thread(shared: &Arc<RvmShared>) -> JoinHandle<()> {
-    let weak = Arc::downgrade(shared);
-    std::thread::Builder::new()
-        .name("rvm-scrub".to_owned())
-        .spawn(move || background_scrub_loop(weak))
-        .expect("failed to spawn the rvm scrub thread")
 }
 
 pub(crate) fn elapsed_ns(start: Instant) -> u64 {

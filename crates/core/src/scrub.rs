@@ -10,7 +10,7 @@
 //! [`Rvm::scrub`](crate::Rvm::scrub) passes, and by the optional
 //! background scrubber ([`Tuning::background_scrub`](crate::Tuning)).
 //!
-//! A checksum mismatch feeds the repair ladder (in `rvm.rs`): a healthy
+//! A checksum mismatch feeds the repair ladder (the scrub pass below): a healthy
 //! mirror replica first, then reconstruction from the committed image
 //! (the un-truncated log span, whose contents the VM image of a loaded
 //! page reproduces exactly), else quarantine of the affected region into
@@ -52,7 +52,9 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 use rvm_storage::Device;
@@ -61,6 +63,8 @@ use crate::crc::crc32;
 use crate::error::Result;
 use crate::options::PAGE_SIZE;
 use crate::ranges::IntervalMap;
+use crate::region::RegionInner;
+use crate::rvm::{CoreGuard, RvmShared};
 
 const MAGIC: &[u8; 4] = b"RVMC";
 const VERSION: u32 = 1;
@@ -517,6 +521,161 @@ impl ScrubReport {
         self.pages_quarantined += other.pages_quarantined;
         self.pages_skipped += other.pages_skipped;
     }
+}
+
+impl RvmShared {
+    /// One scrub pass over every mapped region with a checksum catalog
+    /// (see [`Rvm::scrub`](crate::Rvm::scrub)). Device failures propagate
+    /// (they are *not* checksum mismatches — the media may be fine);
+    /// corruption never poisons the instance, it quarantines at most the
+    /// affected regions.
+    pub(crate) fn scrub_pass(&self) -> Result<ScrubReport> {
+        let mut report = ScrubReport::default();
+        let regions: Vec<Arc<RegionInner>> = self.regions.read().values().cloned().collect();
+        for region in regions {
+            self.scrub_region(&region, &mut report)?;
+        }
+        Ok(report)
+    }
+
+    /// Scrubs one region page by page, taking the core lock per page so
+    /// commits interleave freely with a pass.
+    fn scrub_region(&self, region: &Arc<RegionInner>, report: &mut ScrubReport) -> Result<()> {
+        if region.catalog.is_none() {
+            return Ok(());
+        }
+        let pages = (region.len / PAGE_SIZE) as usize;
+        for page in 0..pages {
+            let core = self.core.lock();
+            if core.epoch.is_some() {
+                // An off-lock epoch apply owns the segment writers; the
+                // rest of this region waits for the next pass.
+                report.pages_skipped += (pages - page) as u64;
+                return Ok(());
+            }
+            if !region.mapped.load(Ordering::Acquire) || region.is_degraded() {
+                report.pages_skipped += (pages - page) as u64;
+                return Ok(());
+            }
+            self.scrub_region_page(core, region, page, report)?;
+        }
+        Ok(())
+    }
+
+    /// Verifies one region page against the catalog and runs the repair
+    /// ladder on a mismatch: bounded re-reads and mirror read-repair
+    /// (inside [`read_page_verified`]), then a rewrite from the committed
+    /// image in VM, else quarantine.
+    ///
+    /// Holding `core` for the whole page excludes every other segment
+    /// writer (truncation holds `core`; the epoch apply was ruled out by
+    /// the caller), so the read-check-rewrite sequence cannot race a
+    /// concurrent apply to the same page.
+    fn scrub_region_page(
+        &self,
+        _core: CoreGuard<'_>,
+        region: &Arc<RegionInner>,
+        page: usize,
+        report: &mut ScrubReport,
+    ) -> Result<()> {
+        let catalog = region.catalog.as_ref().expect("caller checked");
+        let media = &self.stats.media;
+        let page_off = page as u64 * PAGE_SIZE;
+        let seg_page = ((region.seg_offset + page_off) / PAGE_SIZE) as usize;
+        let mut buf = vec![0u8; PAGE_SIZE as usize];
+        let (verified, healed) =
+            read_page_verified(region.seg_dev.as_ref(), catalog, seg_page, &mut buf)?;
+        report.pages_scanned += 1;
+        media.pages_scrubbed.fetch_add(1, Ordering::Relaxed);
+        if verified {
+            if healed {
+                report.corruptions_detected += 1;
+                report.corruptions_repaired += 1;
+                media.corruptions_detected.fetch_add(1, Ordering::Relaxed);
+                media.corruptions_repaired.fetch_add(1, Ordering::Relaxed);
+            }
+            return Ok(());
+        }
+        report.corruptions_detected += 1;
+        media.corruptions_detected.fetch_add(1, Ordering::Relaxed);
+        // Re-reads and any mirror failed; next rung is a rewrite from the
+        // committed image. A *loaded* page with no uncommitted
+        // transaction activity holds exactly that image in VM: committed
+        // changes were applied at load or written since, and map-time
+        // truncation drained the segment's live log records before the
+        // load, so nothing committed is missing from memory.
+        let loaded = region
+            .unloaded
+            .lock()
+            .as_ref()
+            .is_none_or(|pending| !pending[page]);
+        if loaded {
+            let _mem = region.mem_lock.read();
+            let uncommitted = region.page_vector.lock().entry(page).uncommitted;
+            if uncommitted > 0 {
+                // VM holds uncommitted bytes; retry on a later pass.
+                report.pages_skipped += 1;
+                return Ok(());
+            }
+            let len = PAGE_SIZE.min(region.len - page_off) as usize;
+            let mut img = vec![0u8; len];
+            // SAFETY: shared memory lock held; bounds within the region.
+            unsafe { region.mem.copy_out(page_off as usize, &mut img) }?;
+            region
+                .seg_dev
+                .write_at(region.seg_offset + page_off, &img)?;
+            region.seg_dev.sync()?;
+            catalog.update(seg_page, &img);
+            catalog.persist()?;
+            report.corruptions_repaired += 1;
+            media.corruptions_repaired.fetch_add(1, Ordering::Relaxed);
+            return Ok(());
+        }
+        // Unloaded and unverifiable: no healthy replica, no VM image, and
+        // no log span to rebuild from — quarantine the region.
+        report.pages_quarantined += 1;
+        let _ = region.quarantine(seg_page);
+        Ok(())
+    }
+}
+
+fn background_scrub_loop(shared: Weak<RvmShared>) {
+    loop {
+        let Some(strong) = shared.upgrade() else {
+            return;
+        };
+        let interval = strong.tuning.read().scrub_interval_ms.max(1);
+        {
+            let mut flag = strong.scrub_wakeup.lock();
+            if !*flag {
+                strong
+                    .scrub_condvar
+                    .wait_for(&mut flag, std::time::Duration::from_millis(interval));
+            }
+            *flag = false;
+        }
+        if strong.terminated.load(Ordering::Acquire) || strong.scrub_stop.load(Ordering::Acquire) {
+            return;
+        }
+        // A pass has no caller to report device errors to; the next tick
+        // retries. A poisoned instance is left alone entirely — its
+        // durable image must not be touched again.
+        if !strong.poisoned.load(Ordering::Acquire) {
+            let _ = strong.scrub_pass();
+        }
+        drop(strong);
+    }
+}
+
+/// Spawns the background scrubber thread. Like the truncation thread, it
+/// holds only a weak reference so a dropped [`Rvm`](crate::Rvm) lets it
+/// exit on its next wakeup.
+pub(crate) fn spawn_scrub_thread(shared: &Arc<RvmShared>) -> JoinHandle<()> {
+    let weak = Arc::downgrade(shared);
+    std::thread::Builder::new()
+        .name("rvm-scrub".to_owned())
+        .spawn(move || background_scrub_loop(weak))
+        .expect("failed to spawn the rvm scrub thread")
 }
 
 #[cfg(test)]

@@ -40,6 +40,16 @@ impl<T> TracedMutex<T> {
         self.inner.lock()
     }
 
+    /// Runs `f` with `guard` (a guard of this mutex) released, re-locking
+    /// it afterwards; the re-lock counts as an acquisition.
+    pub(crate) fn unlocked<U>(&self, guard: &mut MutexGuard<'_, T>, f: impl FnOnce() -> U) -> U {
+        MutexGuard::unlocked(guard, || {
+            let result = f();
+            self.acquisitions.fetch_add(1, Ordering::Relaxed);
+            result
+        })
+    }
+
     /// Total acquisitions so far.
     pub(crate) fn acquisitions(&self) -> u64 {
         self.acquisitions.load(Ordering::Relaxed)
@@ -144,9 +154,10 @@ pub struct Stats {
     /// Transactions that committed while an epoch apply was in flight —
     /// direct evidence that truncation no longer stalls the pipeline.
     pub(crate) commits_during_truncation: AtomicU64,
-    /// Nanoseconds commit-path threads spent blocked on truncation (the
-    /// space-critical synchronous epoch, or waiting out an in-flight
-    /// epoch when the log was full).
+    /// Nanoseconds commit-path threads spent blocked on truncation: the
+    /// make-room step of an append that found the log full (waiting out
+    /// an in-flight epoch, settling in-flight pipelined batches, or the
+    /// space-critical epoch run).
     pub(crate) truncation_stall_ns: AtomicU64,
     /// Log bytes scanned by epoch truncation.
     pub(crate) truncation_bytes_scanned: AtomicU64,

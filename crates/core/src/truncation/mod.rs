@@ -5,15 +5,21 @@
 //! segment". Two mechanisms exist:
 //!
 //! * **epoch truncation** — the crash-recovery procedure applied to the
-//!   live log (implemented in [`crate::rvm`], reusing
-//!   [`crate::recovery`]'s tree building exactly as the paper reused its
-//!   recovery code);
-//! * **incremental truncation** — dirty pages written directly from VM,
-//!   coordinated by the per-region page vector (this module's
-//!   [`page_vector`]) and the FIFO [`PageQueue`] of page modification
+//!   live log ([`epoch`], reusing [`crate::recovery`]'s tree building
+//!   exactly as the paper reused its recovery code), which is also the
+//!   space-critical make-room step of an append that does not fit;
+//! * **incremental truncation** — dirty pages written directly from VM
+//!   ([`incremental`]), coordinated by the per-region page vector
+//!   ([`page_vector`]) and the FIFO [`PageQueue`] of page modification
 //!   descriptors (Figure 7).
+//!
+//! [`trigger`] decides when either runs: explicit truncation, the
+//! utilization threshold, and the background truncation thread.
 
+pub(crate) mod epoch;
+mod incremental;
 pub mod page_vector;
+pub(crate) mod trigger;
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -94,14 +100,6 @@ impl PageQueue {
         self.queued.remove(&(desc.region_id, desc.page));
         self.refresh_gauge();
         Some(desc)
-    }
-
-    /// Empties the queue (after an epoch truncation has applied the whole
-    /// log).
-    pub fn clear(&mut self) {
-        self.queue.clear();
-        self.queued.clear();
-        self.refresh_gauge();
     }
 
     /// Whether a descriptor for `(region_id, page)` is queued.
@@ -189,7 +187,7 @@ mod tests {
         let region = make_test_region(PAGE_SIZE);
         let mut q = PageQueue::new();
         q.enqueue(&region, 0, 100, 1);
-        q.clear();
+        q.drain_below(u64::MAX);
         assert!(q.is_empty());
         q.enqueue(&region, 0, 500, 5);
         assert_eq!(q.len(), 1);

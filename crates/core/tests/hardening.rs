@@ -234,6 +234,40 @@ fn query_region_page_accounting() {
     assert!(region.dirty_pages().is_empty(), "truncation cleaned it");
 }
 
+/// The space-critical epoch run settles dirty bits like the
+/// lock-releasing one: a page whose records it applied is clean, and the
+/// page of the commit that made room is dirty.
+#[test]
+fn space_critical_truncation_cleans_the_pages_it_applied() {
+    let log = Arc::new(MemDevice::with_len(16384 + 8192));
+    let segs = MemResolver::new();
+    let rvm = boot_tuned(
+        &log,
+        &segs,
+        Tuning {
+            truncation_threshold: 1.0,
+            ..Tuning::default()
+        },
+    );
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, 2 * PAGE_SIZE))
+        .unwrap();
+    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+    region.write(&mut txn, 0, &[1; 5000]).unwrap();
+    txn.commit(CommitMode::Flush).unwrap();
+    assert_eq!(region.dirty_pages(), vec![0, 1]);
+
+    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+    region
+        .write(&mut txn, PAGE_SIZE + 1000, &[2; 3000])
+        .unwrap();
+    txn.commit(CommitMode::Flush).unwrap();
+    let stats = rvm.stats();
+    assert_eq!(stats.epoch_truncations, 1, "the second commit made room");
+    assert_eq!(stats.epochs_truncated, 0);
+    assert_eq!(region.dirty_pages(), vec![1]);
+}
+
 #[test]
 fn zero_length_reads_are_fine_but_writes_are_rejected() {
     let (log, segs) = world();

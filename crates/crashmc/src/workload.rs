@@ -16,6 +16,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 
 use parking_lot::Mutex;
+use rvm::log::status::LOG_AREA_START;
 use rvm::segment::DeviceResolver;
 use rvm::{
     CommitMode, MutationHooks, Options, Region, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE,
@@ -38,6 +39,10 @@ pub enum Workload {
     /// exercises the three-phase truncation crash windows (segment
     /// application, status advance).
     Truncation,
+    /// Flush commits into a log too small to hold them, with no threshold
+    /// trigger: appends must make room with the space-critical epoch run
+    /// (`core` held throughout, no boundary persisted).
+    SpaceCritical,
     /// No-flush commits spooled and flushed in batches, with a tail of
     /// never-flushed transactions that a crash may legally drop.
     NoFlushSpool,
@@ -192,6 +197,7 @@ pub fn run_workload(kind: Workload, hooks: MutationHooks) -> Trace {
     match kind {
         Workload::FlushBatches(depth) => flush_batches(depth, hooks),
         Workload::Truncation => truncation(hooks),
+        Workload::SpaceCritical => space_critical(hooks),
         Workload::NoFlushSpool => no_flush_spool(hooks),
         Workload::AbortMix => abort_mix(hooks),
         Workload::Seeded(seed) => seeded(seed, hooks),
@@ -303,6 +309,47 @@ fn truncation(hooks: MutationHooks) -> Trace {
             rvm.truncate().expect("epoch truncation");
         }
     }
+
+    let trace = cap.finish(txns, true);
+    drop(rvm);
+    trace
+}
+
+fn space_critical(hooks: MutationHooks) -> Trace {
+    let tuning = Tuning {
+        // Utilization never exceeds 1.0: no trigger truncates first.
+        truncation_threshold: 1.0,
+        ..tuning_with(hooks)
+    };
+    // A 4 KiB record area holds about four of these records.
+    let (mut cap, rvm) = setup(LOG_AREA_START + 4096, tuning);
+    let region = rvm
+        .map(&RegionDescriptor::new("cells", 0, 2 * PAGE_SIZE))
+        .expect("map cells");
+    cap.start();
+
+    let mut txns = Vec::new();
+    for i in 0..8u64 {
+        let data = vec![0x60 + i as u8; 700];
+        txns.push(flush_txn(
+            &rvm,
+            &cap.recorder,
+            &region,
+            "cells",
+            0,
+            i * 768,
+            data,
+        ));
+    }
+    // Every truncation was a space-critical run: none published itself
+    // as a lock-releasing epoch.
+    let stats = rvm.query().stats;
+    assert!(
+        stats.epoch_truncations > stats.epochs_truncated,
+        "no space-critical epoch ran ({} epochs, {} lock-releasing)",
+        stats.epoch_truncations,
+        stats.epochs_truncated
+    );
 
     let trace = cap.finish(txns, true);
     drop(rvm);

@@ -17,6 +17,12 @@
 //! (this is the shape of the `query` check→core inversion PR 4 fixed by
 //! hand). Undeclared locks, re-acquisition of a held lock, and condvar
 //! waits that hold extra locks or park on the wrong lock are findings.
+//!
+//! `x.unlocked(guard, || ...)` on a declared lock runs its closure with
+//! that lock released (and re-locks it after): inside the argument list
+//! the lock counts as not held, and what the closure acquires of that
+//! same lock stays out of the enclosing function's summary. Every other
+//! held lock stays held.
 
 use std::collections::{HashMap, HashSet};
 
@@ -105,6 +111,37 @@ fn acquisitions(order: &LockOrder, toks: &[Tok], open: usize, close: usize) -> V
     out
 }
 
+/// Argument regions of `x.unlocked(..)` calls whose receiver is a
+/// declared lock, with that lock's index: the closure runs with the lock
+/// released.
+fn unlocked_regions(
+    order: &LockOrder,
+    toks: &[Tok],
+    open: usize,
+    close: usize,
+) -> Vec<(usize, usize, usize)> {
+    let mut out = Vec::new();
+    for i in open + 1..close {
+        if !toks[i].is_ident("unlocked")
+            || !toks[i - 1].is_punct('.')
+            || !toks.get(i + 1).is_some_and(|n| n.is_punct('('))
+        {
+            continue;
+        }
+        let chain = receiver_chain(toks, i - 1);
+        if let Some(decl) = match_decl(order, &chain, "lock") {
+            out.push((i + 1, paren_match(toks, i + 1), decl));
+        }
+    }
+    out
+}
+
+/// Whether `decl` is released at token `i` by an enclosing
+/// [`unlocked_regions`] entry.
+fn released(regions: &[(usize, usize, usize)], i: usize, decl: usize) -> bool {
+    regions.iter().any(|&(a, b, d)| d == decl && i > a && i < b)
+}
+
 /// Next `;` at paren depth 0, starting from `from` (exclusive bound
 /// `close`).
 fn next_semi(toks: &[Tok], from: usize, close: usize) -> usize {
@@ -158,20 +195,35 @@ pub struct Analysis<'a> {
 
 /// Builds summaries + transitive closure over the file set.
 pub fn analyze<'a>(order: &'a LockOrder, files: &[&FileModel]) -> Analysis<'a> {
+    let (graph, resolved) = CallGraph::build(files);
     let mut direct: HashMap<String, HashSet<usize>> = HashMap::new();
+    // fn key -> (callee key, lock released around the call).
+    let mut callees: HashMap<String, Vec<(String, Option<usize>)>> = HashMap::new();
     for fm in files {
+        let toks = &fm.lexed.toks;
         for f in fm.fns.iter().filter(|f| !f.is_test) {
             let Some((open, close)) = f.body else {
                 continue;
             };
-            let set: HashSet<usize> = acquisitions(order, &fm.lexed.toks, open, close)
+            let unlocked = unlocked_regions(order, toks, open, close);
+            let set: HashSet<usize> = acquisitions(order, toks, open, close)
                 .into_iter()
-                .filter_map(|a| a.decl)
+                .filter_map(|a| a.decl.filter(|&d| !released(&unlocked, a.at, d)))
                 .collect();
-            direct.insert(fn_key(&fm.path, &f.qual), set);
+            let key = fn_key(&fm.path, &f.qual);
+            direct.insert(key.clone(), set);
+            let edges = callees.entry(key).or_default();
+            for site in call_sites(toks, open, close) {
+                if let Some(callee) = resolved.get(&toks[site].text) {
+                    let rel = unlocked
+                        .iter()
+                        .find(|&&(a, b, _)| site > a && site < b)
+                        .map(|&(_, _, d)| d);
+                    edges.push((callee.clone(), rel));
+                }
+            }
         }
     }
-    let (graph, resolved) = CallGraph::build(files);
     // Fixpoint: propagate callee sets into callers.
     let mut closure = direct.clone();
     loop {
@@ -179,9 +231,9 @@ pub fn analyze<'a>(order: &'a LockOrder, files: &[&FileModel]) -> Analysis<'a> {
         let keys: Vec<String> = closure.keys().cloned().collect();
         for k in keys {
             let mut add: HashSet<usize> = HashSet::new();
-            for callee in graph.calls.get(&k).into_iter().flatten() {
+            for (callee, rel) in callees.get(&k).into_iter().flatten() {
                 if let Some(s) = closure.get(callee) {
-                    add.extend(s.iter().copied());
+                    add.extend(s.iter().copied().filter(|d| Some(*d) != *rel));
                 }
             }
             let e = closure.entry(k).or_default();
@@ -250,6 +302,7 @@ fn check_file(a: &Analysis, fm: &FileModel, ids: &mut IdSpace, findings: &mut Ve
             acqs.iter().enumerate().map(|(n, a)| (a.at, n)).collect();
         let calls: HashSet<usize> = call_sites(toks, open, close).into_iter().collect();
         let spawns = spawn_regions(toks, open, close);
+        let unlocked = unlocked_regions(order, toks, open, close);
         let mut guards: Vec<Guard> = Vec::new();
         // Per-function edge dedup.
         let mut seen_edges: HashSet<String> = HashSet::new();
@@ -367,13 +420,19 @@ fn check_file(a: &Analysis, fm: &FileModel, ids: &mut IdSpace, findings: &mut Ve
                 i += 1;
                 continue;
             }
+            // Guards actually held here: an enclosing `unlocked` call
+            // releases its lock.
+            let held: Vec<&Guard> = guards
+                .iter()
+                .filter(|g| !released(&unlocked, i, g.decl))
+                .collect();
             // Calls made while holding locks: consult callee closures.
-            if calls.contains(&i) && !guards.is_empty() {
+            if calls.contains(&i) && !held.is_empty() {
                 if let Some(callee_key) = a.resolved.get(&t.text) {
                     // A callee that *is* this function doesn't add edges.
                     if callee_key != &fn_key(&fm.path, &f.qual) {
                         if let Some(acquired) = a.closure.get(callee_key) {
-                            for g in &guards {
+                            for g in &held {
                                 for &b in acquired {
                                     let (ra, rb) = (order.locks[g.decl].rank, order.locks[b].rank);
                                     if rb <= ra {
@@ -430,7 +489,7 @@ fn check_file(a: &Analysis, fm: &FileModel, ids: &mut IdSpace, findings: &mut Ve
                         }
                     }
                     Some(d) => {
-                        for g in &guards {
+                        for g in &held {
                             let (ra, rb) = (order.locks[g.decl].rank, order.locks[d].rank);
                             if g.decl == d {
                                 let detail = format!("reacquire:{}", order.locks[d].name);

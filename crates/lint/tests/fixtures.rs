@@ -138,6 +138,8 @@ fn lockorder_fixture_convicts_and_clean_passes() {
         "vector_then_helper",
         "if_let_extends_guard",
         "undeclared_lock",
+        "unlocked_keeps_other_locks",
+        "unlocked_other_lock_is_reentrant",
     ] {
         assert!(
             fns.contains(expected),

@@ -43,3 +43,24 @@ fn if_let_extends_guard(shared: &Shared) {
 fn undeclared_lock(shared: &Shared) {
     let _g = shared.secret_side_table.lock();
 }
+
+/// `unlocked` releases only its own lock: `page_vector` stays held
+/// while the closure takes `mem_lock` through the helper.
+fn unlocked_keeps_other_locks(shared: &Shared, region: &Region) {
+    let mut core = shared.core.lock();
+    let _pv = region.page_vector.lock();
+    shared.core.unlocked(&mut core, || helper_touches_memory(region));
+}
+
+/// Releasing `check` does not release `core`: re-taking `core` in the
+/// closure is still reentrant.
+fn unlocked_other_lock_is_reentrant(shared: &Shared) {
+    let _core = shared.core.lock();
+    let mut check = shared.check.lock();
+    shared.check.unlocked(&mut check, || takes_core(shared));
+}
+
+fn takes_core(shared: &Shared) -> u64 {
+    let core = shared.core.lock();
+    core.seq
+}

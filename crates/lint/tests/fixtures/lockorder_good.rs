@@ -43,3 +43,27 @@ fn spawn_is_not_holding(shared: &Shared) {
         let _core = shared.core.lock();
     });
 }
+
+/// `unlocked` runs its closure with the lock released, so re-taking it
+/// there — directly or through a call — is not reentrant.
+fn unlocked_releases_its_lock(shared: &Shared) {
+    let mut core = shared.core.lock();
+    shared.core.unlocked(&mut core, || takes_core(shared));
+    consume(core.seq);
+}
+
+/// A helper that releases its caller's guard around a call that takes
+/// the same lock may be called with that lock held.
+fn releases_callers_guard(shared: &Shared, core: &mut CoreGuard) {
+    shared.core.unlocked(core, || takes_core(shared));
+}
+
+fn holds_core_across_releasing_helper(shared: &Shared) {
+    let mut core = shared.core.lock();
+    releases_callers_guard(shared, &mut core);
+}
+
+fn takes_core(shared: &Shared) -> u64 {
+    let core = shared.core.lock();
+    core.seq
+}

@@ -14,7 +14,7 @@ use std::time::Duration;
 use common::World;
 use rvm::segment::MemResolver;
 use rvm::{CommitMode, Options, RegionDescriptor, Rvm, Tuning, TxnMode, PAGE_SIZE};
-use rvm_storage::{Device, MemDevice};
+use rvm_storage::{Device, IoToken, MemDevice};
 
 #[test]
 fn concurrent_transactions_on_disjoint_slots() {
@@ -286,9 +286,20 @@ fn concurrent_commits_with_background_truncation() {
     for t in threads {
         t.join().unwrap();
     }
-    // The background thread must have kept the log bounded.
-    let q = rvm.query();
-    assert!(q.log.utilization < 0.9, "utilization {}", q.log.utilization);
+    // The background thread brings the log back under its threshold.
+    // It truncates asynchronously, so the last commits may still be
+    // live when the committers join: wait for it, within a deadline.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut q = rvm.query();
+    while q.log.utilization > 0.3 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+        q = rvm.query();
+    }
+    assert!(
+        q.log.utilization <= 0.3,
+        "utilization {}",
+        q.log.utilization
+    );
     assert_eq!(q.stats.txns_committed, 320);
     Arc::try_unwrap(rvm)
         .expect("sole owner")
@@ -408,6 +419,214 @@ impl Device for GatedLog {
     fn set_len(&self, len: u64) -> rvm_storage::Result<()> {
         self.inner.set_len(len)
     }
+}
+
+/// A log device whose submitted forces complete only at `wait`, which
+/// passes through a [`SyncGate`]: at pipeline depth 2 a batch stays in
+/// flight, unreaped, while the gate is closed.
+struct GatedWaitLog {
+    inner: Arc<MemDevice>,
+    gate: Arc<SyncGate>,
+}
+
+impl Device for GatedWaitLog {
+    fn len(&self) -> rvm_storage::Result<u64> {
+        self.inner.len()
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> rvm_storage::Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, data: &[u8]) -> rvm_storage::Result<()> {
+        self.inner.write_at(offset, data)
+    }
+    fn sync(&self) -> rvm_storage::Result<()> {
+        self.inner.sync()
+    }
+    fn set_len(&self, len: u64) -> rvm_storage::Result<()> {
+        self.inner.set_len(len)
+    }
+    fn submit_sync(&self) -> IoToken {
+        match self.inner.sync() {
+            Ok(()) => IoToken::pending(1),
+            Err(e) => IoToken::inline(Err(e)),
+        }
+    }
+    fn wait(&self, token: IoToken) -> rvm_storage::Result<()> {
+        match token.into_inline() {
+            Ok(result) => result,
+            Err(_pending) => {
+                self.gate.pass();
+                Ok(())
+            }
+        }
+    }
+}
+
+/// The make-room step: a spool flush that needs the log span an
+/// in-flight pipelined batch pins must settle that batch and truncate,
+/// not fail with `LogFull` — truncation stops at the pipeline floor, so
+/// the batch has to be reaped first.
+#[test]
+fn spool_flush_settles_an_in_flight_batch_to_make_room() {
+    let gate = SyncGate::new();
+    let log = Arc::new(MemDevice::with_len(48 * 1024));
+    let gated: Arc<dyn Device> = Arc::new(GatedWaitLog {
+        inner: log,
+        gate: gate.clone(),
+    });
+    let rvm = Arc::new(
+        Rvm::initialize(
+            Options::new(gated)
+                .resolver(MemResolver::new().into_resolver())
+                .tuning(Tuning {
+                    log_pipeline_depth: 2,
+                    // No threshold trigger: only the make-room step
+                    // truncates.
+                    truncation_threshold: 1.0,
+                    ..Tuning::default()
+                })
+                .create_if_empty(),
+        )
+        .expect("initialize"),
+    );
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, 16 * PAGE_SIZE))
+        .unwrap();
+    let capacity = rvm.query().log.capacity;
+    // Each record takes a bit over half the log: the spooled one fits
+    // only once the in-flight one is truncated.
+    let big = (capacity * 11 / 20) as usize;
+
+    gate.close();
+    let committer = {
+        let rvm = rvm.clone();
+        let region = region.clone();
+        std::thread::spawn(move || {
+            let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+            region.write(&mut txn, 0, &vec![0xA1; big]).unwrap();
+            txn.commit(CommitMode::Flush)
+        })
+    };
+    // The batch is submitted and its reap is parked in `wait`.
+    gate.wait_parked();
+    assert_eq!(rvm.query().stats.pipeline_submits, 1);
+
+    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+    region
+        .write(&mut txn, 8 * PAGE_SIZE, &vec![0xB2; big])
+        .unwrap();
+    txn.commit(CommitMode::NoFlush).unwrap();
+    assert_eq!(rvm.query().spooled_transactions, 1);
+
+    let flusher = {
+        let rvm = rvm.clone();
+        std::thread::spawn(move || rvm.flush())
+    };
+    std::thread::sleep(Duration::from_millis(100));
+    gate.open();
+    flusher
+        .join()
+        .unwrap()
+        .expect("spool flush made room by settling the in-flight batch");
+    committer.join().unwrap().expect("pipelined flush commit");
+
+    let q = rvm.query();
+    assert_eq!(q.spooled_transactions, 0);
+    assert!(q.stats.epoch_truncations >= 1);
+    assert_eq!(q.stats.epochs_truncated, 0, "only space-critical runs");
+    assert_eq!(region.read_vec(0, 4).unwrap(), vec![0xA1; 4]);
+    assert_eq!(region.read_vec(8 * PAGE_SIZE, 4).unwrap(), vec![0xB2; 4]);
+    Arc::try_unwrap(rvm)
+        .expect("sole owner")
+        .terminate()
+        .unwrap();
+}
+
+/// `map` of a segment that the log and the spool reference reflects both
+/// into the segment before loading the image. Here a pipelined batch is
+/// in flight (its reap parked) when `map` starts, the spool flush inside
+/// `map` needs the span that batch pins, and the committer's inline
+/// threshold trigger starts a lock-releasing epoch as soon as its reap
+/// settles. `map` must wait out that epoch rather than run a second one
+/// over it, and load the committed image.
+#[test]
+fn map_flushes_the_spool_past_an_in_flight_batch_and_a_trigger() {
+    let gate = SyncGate::new();
+    let log = Arc::new(MemDevice::with_len(48 * 1024));
+    let gated: Arc<dyn Device> = Arc::new(GatedWaitLog {
+        inner: log,
+        gate: gate.clone(),
+    });
+    let rvm = Arc::new(
+        Rvm::initialize(
+            Options::new(gated)
+                .resolver(MemResolver::new().into_resolver())
+                .tuning(Tuning {
+                    log_pipeline_depth: 2,
+                    truncation_threshold: 0.5,
+                    ..Tuning::default()
+                })
+                .create_if_empty(),
+        )
+        .expect("initialize"),
+    );
+    let region = rvm
+        .map(&RegionDescriptor::new("seg", 0, 16 * PAGE_SIZE))
+        .unwrap();
+    // A committed change to a region that is then unmapped: its record
+    // stays in the log, so remapping must apply it first.
+    let desc_b = RegionDescriptor::new("seg", 16 * PAGE_SIZE, 4 * PAGE_SIZE);
+    {
+        let b = rvm.map(&desc_b).unwrap();
+        let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+        b.write(&mut txn, 0, &[0xC3; 64]).unwrap();
+        txn.commit(CommitMode::Flush).unwrap();
+        rvm.unmap(&b).unwrap();
+    }
+    let capacity = rvm.query().log.capacity;
+    let big = (capacity * 11 / 20) as usize;
+
+    gate.close();
+    let committer = {
+        let rvm = rvm.clone();
+        let region = region.clone();
+        std::thread::spawn(move || {
+            let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+            region.write(&mut txn, 0, &vec![0xA1; big]).unwrap();
+            txn.commit(CommitMode::Flush)
+        })
+    };
+    gate.wait_parked();
+    let mut txn = rvm.begin_transaction(TxnMode::Restore).unwrap();
+    region
+        .write(&mut txn, 8 * PAGE_SIZE, &vec![0xB2; big])
+        .unwrap();
+    txn.commit(CommitMode::NoFlush).unwrap();
+
+    let mapper = {
+        let rvm = rvm.clone();
+        std::thread::spawn(move || rvm.map(&desc_b))
+    };
+    std::thread::sleep(Duration::from_millis(100));
+    gate.open();
+    let b = mapper
+        .join()
+        .unwrap()
+        .expect("map settles the batch, flushes the spool and truncates");
+    committer.join().unwrap().expect("pipelined flush commit");
+
+    assert_eq!(b.read_vec(0, 64).unwrap(), vec![0xC3; 64]);
+    let q = rvm.query();
+    assert_eq!(q.spooled_transactions, 0);
+    assert!(q.stats.epoch_truncations >= 1);
+    assert_eq!(region.read_vec(0, 4).unwrap(), vec![0xA1; 4]);
+    assert_eq!(region.read_vec(8 * PAGE_SIZE, 4).unwrap(), vec![0xB2; 4]);
+    drop(b);
+    drop(region);
+    Arc::try_unwrap(rvm)
+        .expect("sole owner")
+        .terminate()
+        .unwrap();
 }
 
 /// The lock-free-`query` regression: a flush commit parked inside its

@@ -86,6 +86,16 @@ fn truncation_epochs_survive_every_crash_image() {
     assert!(report.images_unique > 100, "{}", report.render());
 }
 
+/// The space-critical path: appends into a full log truncate with
+/// `core` held and no boundary persisted, so every crash window of that
+/// run must recover the committed prefix too.
+#[test]
+fn space_critical_truncations_survive_every_crash_image() {
+    let report = checked("space-critical", Workload::SpaceCritical);
+    assert!(report.exhaustive, "{}", report.render());
+    assert!(report.images_unique > 100, "{}", report.render());
+}
+
 #[test]
 fn no_flush_spool_crashes_lose_only_unacked_work() {
     let report = checked("no-flush spool", Workload::NoFlushSpool);
